@@ -24,20 +24,48 @@ come from the permanent identity
     tr(rho_i rho_j) = perm(F) / k!   with   F[s][t] = |<psi_{i_s}|psi_{j_t}>|^2
 
 which follows from expanding both ordering sums.
+
+The orthogonality premise does not depend on the cut, so it is decided once
+per (set, k) and shared by every cut of a request. It is decided from the
+Gram matrix G in O(n^2) whenever a bound settles it. Let
+
+    eps = max_{a != b} |G_ab|^2,   m = max(1, max_{a,b} |G_ab|^2).
+
+Every entry of F is at most m. (By Cauchy-Schwarz the largest |G_ab|^2
+sits on the diagonal; m exceeds 1 only because members are normalised to
+within ATOL, and taking it over all entries keeps it an upper bound under
+rounding.) Two distinct k-subsets i and j differ, so some i_s is not in j,
+and every entry of row s of F is then at most eps. Expanding the permanent
+along that row gives k terms, each an entry of row s times the permanent of
+a (k-1)-by-(k-1) minor, which is at most (k-1)! m^(k-1). So
+
+    tr(rho_i rho_j) = perm(F) / k! <= eps * m^(k-1)
+
+for every pair of distinct subsets. The premise is evaluated as
+
+    bound <= tol  or  max_hypothesis_overlap(set, k) <= tol,
+
+so the exact scan runs only when the bound is inconclusive, and the result
+is the scan's verdict for every tol: where the bound clears tol, so does
+every overlap the scan would compute. On the orthonormal families shipped
+here eps is at rounding level (below 1e-29), so the scan runs only for sets
+built with ``require_orthonormal=False`` or for tolerances below rounding.
+The scan visits all C(C(n, k), 2) subset pairs, vectorised over chunks of
+pairs, and refuses with ResourceLimitError beyond ``MAX_OVERLAP_PAIRS``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .families import ges_basis
 from .statespace import ATOL, Cut, _vector_reduction, is_maximally_entangled
-from .subsets import DEFAULT_MAX_DIM, StateSet, enumerate_subsets
+from .subsets import DEFAULT_MAX_DIM, StateSet, check_settings, enumerate_subsets
 
 AXIOM_MES = "complete-MES-basis-indistinguishability"
 AXIOM_ONE_SIDED = "one-sided-unitary-family-indistinguishability"
@@ -48,6 +76,11 @@ PREMISE_FAILS = "PremiseFails"
 
 #: request marker: certify every bipartition of the parties
 ALL_CUTS = "all"
+
+#: most subset pairs the exact overlap scan will visit
+MAX_OVERLAP_PAIRS = 2 ** 24
+#: subset pairs gathered per vectorised step of the scan
+_PAIR_CHUNK = 2 ** 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +98,7 @@ class CertificateRequest:
     max_dim: int = DEFAULT_MAX_DIM
 
     def __post_init__(self):
+        check_settings(self.tol, self.max_dim)
         d = len(self.state_set)
         if not 1 < self.k < d:
             raise ValueError(f"subset size k={self.k} must satisfy 1 < k < D={d}")
@@ -92,12 +126,12 @@ class Certificate:
 
 @dataclass(frozen=True, eq=False)
 class GenuineResult:
-    """Per-cut certificates plus the aggregate over every bipartition.
+    """Per-cut certificates plus their aggregate verdict.
 
-    The aggregate is ``Certified`` only when every single cut is, i.e. the
-    task stays unidentifiable no matter how the parties group into two labs;
-    any failed premise dominates, otherwise a missed bound reports
-    ``ConditionFails``.
+    The aggregate is ``Certified`` only when every single cut is; over every
+    bipartition that means the task stays unidentifiable no matter how the
+    parties group into two labs. Any failed premise dominates, otherwise a
+    missed bound reports ``ConditionFails``.
     """
 
     certificates: tuple[Certificate, ...]
@@ -116,14 +150,51 @@ def _ryser_permanents(blocks: np.ndarray) -> np.ndarray:
 
 
 def max_hypothesis_overlap(state_set: StateSet, k: int) -> float:
-    """Largest tr(rho_i rho_j) over distinct subsets, via the permanent identity."""
-    subsets = enumerate_subsets(len(state_set), k)
+    """Largest tr(rho_i rho_j) over distinct subsets, via the permanent identity.
+
+    Exact: every pair of subsets is visited, so the work grows as C(C(n, k), 2)
+    and is refused beyond ``MAX_OVERLAP_PAIRS`` pairs.
+    """
+    subsets = np.array(enumerate_subsets(len(state_set), k))
+    h = len(subsets)
+    n_pairs = h * (h - 1) // 2
+    if n_pairs > MAX_OVERLAP_PAIRS:
+        raise ResourceLimitError(
+            f"overlap scan over {n_pairs} hypothesis pairs exceeds the guard of "
+            f"{MAX_OVERLAP_PAIRS}"
+        )
     g2 = np.abs(state_set.gram) ** 2
-    pairs = list(itertools.combinations(range(len(subsets)), 2))
-    blocks = np.empty((len(pairs), k, k))
-    for idx, (i, j) in enumerate(pairs):
-        blocks[idx] = g2[np.ix_(subsets[i], subsets[j])]
-    return float(_ryser_permanents(blocks).max() / math.factorial(k))
+    # pair p runs over (i, j > i) row by row; row i starts at first[i]
+    later = np.arange(h - 1, -1, -1)
+    first = np.cumsum(later) - later
+    best = -np.inf
+    for lo in range(0, n_pairs, _PAIR_CHUNK):
+        p = np.arange(lo, min(lo + _PAIR_CHUNK, n_pairs))
+        i = np.searchsorted(first, p, side="right") - 1
+        j = p - first[i] + i + 1
+        blocks = g2[subsets[i][:, :, None], subsets[j][:, None, :]]
+        best = max(best, _ryser_permanents(blocks).max())
+    return float(best / math.factorial(k))
+
+
+def hypothesis_overlap_bound(state_set: StateSet, k: int) -> float:
+    """eps * m^(k-1), an O(n^2) upper bound on every tr(rho_i rho_j) of
+    distinct k-subsets (proof in the module docstring)."""
+    g2 = np.abs(state_set.gram) ** 2
+    eps = float(g2[~np.eye(len(g2), dtype=bool)].max())
+    m = max(1.0, float(g2.max()))
+    return eps * m ** (k - 1)
+
+
+def orthogonal_hypotheses(state_set: StateSet, k: int, tol: float) -> bool:
+    """The pairwise-orthogonal-hypotheses premise: every overlap within tol.
+
+    The bound decides it when it clears tol; otherwise the exact scan does.
+    """
+    return (
+        hypothesis_overlap_bound(state_set, k) <= tol
+        or max_hypothesis_overlap(state_set, k) <= tol
+    )
 
 
 def _reductions_agree(state_set: StateSet, positions: tuple[int, ...], tol: float) -> bool:
@@ -137,7 +208,15 @@ def _reductions_agree(state_set: StateSet, positions: tuple[int, ...], tol: floa
     return True
 
 
-def certify_cut(request: CertificateRequest) -> Certificate:
+def _check_stacked_dim(request: CertificateRequest):
+    if request.stacked_dim > request.max_dim:
+        raise ResourceLimitError(
+            f"stacked dimension {request.state_set.layout.dim}**{request.k} = "
+            f"{request.stacked_dim} exceeds the guard of {request.max_dim}"
+        )
+
+
+def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) -> Certificate:
     """Evaluate the counting certificate for a single bipartition.
 
     The unitary side is the cut side of larger stacked dimension (ties go to
@@ -146,15 +225,17 @@ def certify_cut(request: CertificateRequest) -> Certificate:
     the complete-basis principle; otherwise it cites the one-sided-unitary
     principle, whose premise (all stacked states share their reduction on
     the identity side) is checked explicitly.
+
+    ``orthogonal`` is the cut-independent overlap premise when the caller has
+    already decided it for this set, k and tolerance (see certify_cuts); by
+    default it is decided here.
     """
     if not isinstance(request.cut, Cut):
         raise ValueError("certify_cut needs a single cut; use certify_genuine for all")
+    _check_stacked_dim(request)
     state_set, k, tol = request.state_set, request.k, request.tol
-    if request.stacked_dim > request.max_dim:
-        raise ResourceLimitError(
-            f"stacked dimension {state_set.layout.dim}**{k} = {request.stacked_dim} "
-            f"exceeds the guard of {request.max_dim}"
-        )
+    if orthogonal is None:
+        orthogonal = orthogonal_hypotheses(state_set, k, tol)
     cut = request.cut
     layout = state_set.layout
     lpos, rpos = cut.positions(layout)
@@ -166,9 +247,7 @@ def certify_cut(request: CertificateRequest) -> Certificate:
     identity_positions = rpos if unitary_side == "left" else lpos
 
     premises: dict[str, bool] = {}
-    premises["pairwise-orthogonal-hypotheses"] = (
-        max_hypothesis_overlap(state_set, k) <= tol
-    )
+    premises["pairwise-orthogonal-hypotheses"] = orthogonal
     mes_all = all(is_maximally_entangled(s, cut, tol) for s in state_set.states)
     if left_stacked == right_stacked and mes_all:
         axiom = AXIOM_MES
@@ -237,6 +316,24 @@ def aggregate_verdict(verdicts) -> str:
     return CONDITION_FAILS
 
 
+def certify_cuts(request: CertificateRequest, cuts=None, map_fn=map) -> GenuineResult:
+    """Certify each of ``cuts`` (every bipartition by default) and aggregate.
+
+    The overlap premise does not depend on the cut, so it is decided once,
+    before the cuts are mapped, and every cut shares that value. ``map_fn``
+    has the signature of the builtin ``map`` and may spread the cuts over
+    workers; certificates keep the order of ``cuts`` either way.
+    """
+    if cuts is None:
+        cuts = all_bipartitions(request.state_set.parties)
+    _check_stacked_dim(request)
+    orthogonal = orthogonal_hypotheses(request.state_set, request.k, request.tol)
+    certs = tuple(
+        map_fn(lambda cut: certify_cut(replace(request, cut=cut), orthogonal=orthogonal), cuts)
+    )
+    return GenuineResult(certs, aggregate_verdict(c.verdict for c in certs))
+
+
 def certify_genuine(request: CertificateRequest) -> GenuineResult:
     """Certify every bipartition and aggregate the verdicts.
 
@@ -244,17 +341,7 @@ def certify_genuine(request: CertificateRequest) -> GenuineResult:
     unidentifiable" means no two-lab coalition ever helps; a two-party set
     degenerates to its single cut.
     """
-    parties = request.state_set.parties
-    certs = []
-    for cut in all_bipartitions(parties):
-        certs.append(
-            certify_cut(
-                CertificateRequest(
-                    request.state_set, request.k, cut, request.tol, request.max_dim
-                )
-            )
-        )
-    return GenuineResult(tuple(certs), aggregate_verdict(c.verdict for c in certs))
+    return certify_cuts(request)
 
 
 def certify_basis_pairs(d: int) -> Certificate:

@@ -6,9 +6,11 @@ execute the matching statements of a script, and ``verify-paper`` runs the
 full reproduction suite with one line per criterion.
 
 Exit codes: 0 on success, 1 when execution or verification fails, 2 for
-usage and script syntax problems, 3 when a resource guard trips. In
-structured mode failures are reported as an error object on the output
-stream so callers never have to parse diagnostics out of free text.
+usage problems (including a tolerance or dimension guard out of range) and
+script syntax errors, 3 when a resource guard trips or memory runs out. In
+structured mode failures, unexpected ones included, are reported as an
+error object on the output stream so callers never have to parse
+diagnostics out of free text or a traceback.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from pathlib import Path
 
 from .acceptance import run_all
 from .engine import execute, render_structured, render_text
-from .errors import ExecutionError, ResourceLimitError, ScriptError
+from .errors import ResourceLimitError, ScriptError, SettingError
 from .families import bell_basis, ges_basis, ghz3_basis, ghz4_basis
 from .script import parse as parse_script
+from .statespace import ATOL
 from .subsets import DEFAULT_MAX_DIM
 
 EXIT_OK = 0
@@ -52,8 +55,8 @@ def format_amplitude(z: complex) -> str:
 def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("script", help="script file, or - for standard input")
     parser.add_argument(
-        "--tolerance", type=float, default=1e-9, metavar="REAL",
-        help="numeric tolerance for predicates (default 1e-9)",
+        "--tolerance", type=float, default=ATOL, metavar="REAL",
+        help=f"numeric tolerance for predicates, finite and above 0 (default {ATOL:g})",
     )
     parser.add_argument(
         "--max-dim", type=int, default=DEFAULT_MAX_DIM, metavar="INT",
@@ -159,10 +162,11 @@ def _cmd_run(args, only: set[str]) -> int:
     structured = args.format == "structured"
 
     def fail(exc: Exception, code: int) -> int:
+        message = str(exc) or type(exc).__name__
         if structured:
-            error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+            error = {"error": {"type": type(exc).__name__, "message": message}}
             _emit(render_structured(error), args.output)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         return code
 
     try:
@@ -174,14 +178,14 @@ def _cmd_run(args, only: set[str]) -> int:
         report = execute(
             text, tolerance=args.tolerance, max_dim=args.max_dim, only=only
         )
-    except ScriptError as e:
+        rendered = (render_structured if structured else render_text)(report)
+    except (ScriptError, SettingError) as e:
         return fail(e, EXIT_USAGE)
-    except ResourceLimitError as e:
+    except (ResourceLimitError, MemoryError) as e:
         return fail(e, EXIT_RESOURCE)
-    except (ExecutionError, ValueError) as e:
+    except Exception as e:  # noqa: BLE001 - every failure gets an exit code, never a traceback
         return fail(e, EXIT_FAILURE)
-    render = render_structured if structured else render_text
-    _emit(render(report), args.output)
+    _emit(rendered, args.output)
     return EXIT_OK
 
 

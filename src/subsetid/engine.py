@@ -16,15 +16,10 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from . import families
-from .certificates import (
-    ALL_CUTS,
-    CertificateRequest,
-    aggregate_verdict,
-    all_bipartitions,
-    certify_cut,
-)
+from .certificates import ALL_CUTS, CertificateRequest, certify_cuts
 from .errors import ExecutionError, ResourceLimitError
 from .protocols import (
     PROTOCOLS,
@@ -45,7 +40,7 @@ from .script import (
     parse,
 )
 from .statespace import ATOL, Cut
-from .subsets import DEFAULT_MAX_DIM, SubsetTask, hypothesis_ensemble
+from .subsets import DEFAULT_MAX_DIM, SubsetTask, check_settings, hypothesis_ensemble
 
 REPORT_VERSION = 1
 
@@ -180,7 +175,7 @@ class _Engine:
         task = self.tasks[stmt.task_name]
         layout = task.state_set.layout
         if stmt.cut == ALL_CUTS:
-            cuts = all_bipartitions(layout.parties)
+            cuts = None
         elif stmt.cut == "auto":
             if len(layout.parties) != 2:
                 raise ValueError(
@@ -190,14 +185,12 @@ class _Engine:
             cuts = (Cut.between(layout.parties[:1], layout.parties[1:]),)
         else:
             cuts = (self.explicit_cut(stmt.cut, layout),)
-        certs = _ordered_map(
-            lambda c: certify_cut(
-                CertificateRequest(
-                    task.state_set, task.k, c, self.tolerance, self.max_dim
-                )
+        result = certify_cuts(
+            CertificateRequest(
+                task.state_set, task.k, tol=self.tolerance, max_dim=self.max_dim
             ),
             cuts,
-            self.workers,
+            partial(_ordered_map, workers=self.workers),
         )
         record = {
             "kind": "certify",
@@ -213,11 +206,11 @@ class _Engine:
                     "premises": dict(c.premises),
                     "verdict": c.verdict,
                 }
-                for c in certs
+                for c in result.certificates
             ],
         }
         if stmt.cut == ALL_CUTS:
-            record["genuine"] = aggregate_verdict(c.verdict for c in certs)
+            record["genuine"] = result.verdict
         return record
 
     @staticmethod
@@ -250,6 +243,7 @@ def execute(
     spreads hypotheses and cuts over a thread pool without changing any
     reported value.
     """
+    check_settings(tolerance, max_dim)
     if isinstance(script, str):
         script = parse(script)
     if workers < 1:

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested computation exceeds the configured dimension guard."""
+    """A requested computation exceeds a resource guard (stacked dimension,
+    hypothesis pairs)."""
+
+
+class SettingError(ValueError):
+    """A numeric setting (tolerance, dimension guard) lies outside the range
+    where a verdict means anything."""
 
 
 class LocalityError(ValueError):

@@ -20,8 +20,6 @@ import numpy as np
 
 #: tolerance for logical predicates (orthogonality, maximal entanglement, ...)
 ATOL = 1e-9
-#: tolerance for algebraic identities that should hold to machine precision
-ATOL_STRICT = 1e-12
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,15 @@ the rho_i.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, SettingError
 from .statespace import (
     ATOL,
     DensityOperator,
@@ -35,6 +37,20 @@ from .statespace import (
 DEFAULT_MAX_DIM = 2 ** 16
 #: largest dimension for which a dense hypothesis matrix may be materialized
 DENSE_RHO_LIMIT = 4096
+
+
+def check_settings(tol: float, max_dim: int) -> None:
+    """Refuse a tolerance or dimension guard under which verdicts mean nothing.
+
+    Predicates compare measured deviations against ``tol``; a NaN tolerance
+    makes every comparison false, an infinite one passes every check, zero
+    demands exact floating-point equality and a negative one fails every
+    check. A guard below 1 admits no stacked state at all.
+    """
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise SettingError(f"tolerance must be a finite number above 0, got {tol!r}")
+    if not (isinstance(max_dim, numbers.Integral) and max_dim >= 1):
+        raise SettingError(f"max_dim must be an integer of at least 1, got {max_dim!r}")
 
 
 @dataclass(frozen=True, eq=False)

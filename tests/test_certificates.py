@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subsetid import (
     CERTIFIED,
@@ -18,15 +20,24 @@ from subsetid import (
     certify_cut,
     certify_genuine,
     certify_basis_pairs,
+    execute,
     ges_basis,
     ghz3_basis,
     hypothesis_ensemble,
     max_hypothesis_overlap,
     named_states,
 )
-from subsetid.certificates import AXIOM_MES, AXIOM_ONE_SIDED, aggregate_verdict
-from subsetid.errors import ResourceLimitError
-from subsetid.statespace import StateVector, qubit_layout
+from subsetid import certificates
+from subsetid.certificates import (
+    AXIOM_MES,
+    AXIOM_ONE_SIDED,
+    aggregate_verdict,
+    certify_cuts,
+    hypothesis_overlap_bound,
+    orthogonal_hypotheses,
+)
+from subsetid.errors import ResourceLimitError, SettingError
+from subsetid.statespace import ATOL, StateVector, qubit_layout
 
 AB = Cut.between("A", "B")
 
@@ -167,3 +178,129 @@ def test_counting_scan_small(d):
         cert = certify_cut(CertificateRequest(ges_basis(d), k, AB))
         expected = CERTIFIED if math.comb(n, k) > d**k else CONDITION_FAILS
         assert cert.verdict == expected, f"d={d} k={k}"
+
+
+# --- the overlap premise: O(n^2) bound first, exact scan as the fallback ---
+
+
+@st.composite
+def overlapping_sets(draw):
+    """A random normalised set on two qubits, each member a basis vector
+    plus a drawn perturbation, so overlaps range from tiny to large."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(k + 1, 6))
+    spread = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.1, 1.0]))
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    states = []
+    for a in range(n):
+        noise = np.array(draw(st.lists(parts, min_size=8, max_size=8)))
+        amps = spread * (noise[:4] + 1j * noise[4:])
+        amps[a % 4] += 1.0
+        norm = np.linalg.norm(amps)
+        assume(norm > 0.1)
+        states.append(StateVector(qubit_layout("A", "B"), amps / norm))
+    labels = [f"X{a}" for a in range(n)]
+    return StateSet(states, name="random", labels=labels, require_orthonormal=False), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(overlapping_sets())
+def test_bound_dominates_the_exact_scan(case):
+    state_set, k = case
+    assert hypothesis_overlap_bound(state_set, k) >= max_hypothesis_overlap(state_set, k) - 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(overlapping_sets())
+def test_fast_premise_equals_the_exact_scan(case):
+    state_set, k = case
+    scan = max_hypothesis_overlap(state_set, k)
+    bound = hypothesis_overlap_bound(state_set, k)
+    tols = [1e-12, ATOL, scan / 2, scan * (1 + 1e-9), bound * (1 - 1e-9), bound * (1 + 1e-9), 1.0]
+    for tol in (t for t in tols if t > 0):
+        assert orthogonal_hypotheses(state_set, k, tol) == (scan <= tol), tol
+
+
+def brute_max_overlap(state_set, k):
+    """max perm(F) / k! over pairs of distinct subsets, one pair at a time."""
+    g2 = np.abs(state_set.gram) ** 2
+    subsets = itertools.combinations(range(len(state_set)), k)
+    return max(
+        sum(math.prod(g2[a, b] for a, b in zip(i, perm)) for perm in itertools.permutations(j))
+        for i, j in itertools.combinations(subsets, 2)
+    ) / math.factorial(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(overlapping_sets())
+def test_scan_visits_every_pair_in_any_chunking(case):
+    state_set, k = case
+    expected = brute_max_overlap(state_set, k)
+    assert max_hypothesis_overlap(state_set, k) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    original = certificates._PAIR_CHUNK
+    certificates._PAIR_CHUNK = 7
+    try:
+        assert max_hypothesis_overlap(state_set, k) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    finally:
+        certificates._PAIR_CHUNK = original
+
+
+def test_scan_matches_the_literal_trace_at_three_copies():
+    state_set = doctored_set()
+    rhos = [h.rho.matrix for h in hypothesis_ensemble(SubsetTask(state_set, 3))]
+    literal = max(
+        float(np.trace(a @ b).real) for a, b in itertools.combinations(rhos, 2)
+    )
+    assert max_hypothesis_overlap(state_set, 3) == pytest.approx(literal, abs=1e-12)
+
+
+def test_families_never_reach_the_scan(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the exact scan ran")
+
+    monkeypatch.setattr(certificates, "max_hypothesis_overlap", refuse)
+    assert orthogonal_hypotheses(ghz3_basis(), 3, ATOL)
+    assert certify_genuine(CertificateRequest(ghz3_basis(), 2)).verdict == CERTIFIED
+
+
+def test_premise_decided_once_per_request(monkeypatch):
+    calls = []
+    real = certificates.orthogonal_hypotheses
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(certificates, "orthogonal_hypotheses", counted)
+    result = certify_cuts(CertificateRequest(ghz3_basis(), 2))
+    assert len(result.certificates) == 3 and len(calls) == 1
+    calls.clear()
+    execute("set g = ghz3_basis\ntask t = subset(g, k=2)\ncertify t cut all\n", workers=2)
+    assert len(calls) == 1
+
+
+def test_pair_guard(monkeypatch):
+    monkeypatch.setattr(certificates, "MAX_OVERLAP_PAIRS", 14)
+    with pytest.raises(ResourceLimitError, match="15 hypothesis pairs"):
+        max_hypothesis_overlap(doctored_set(), 2)
+    with pytest.raises(ResourceLimitError, match="15 hypothesis pairs"):
+        certify_cut(CertificateRequest(doctored_set(), 2, AB))
+    # the bound settles orthonormal families without touching the guard
+    assert certify_cut(CertificateRequest(bell_basis(), 2, AB)).verdict == CERTIFIED
+
+
+def test_largest_pair_task_inside_the_dimension_guard():
+    cert = certify_cut(CertificateRequest(ges_basis(16), 2, AB))
+    assert (cert.kappa, cert.bound, cert.verdict) == (32640, 256, CERTIFIED)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9, "1e-9"])
+def test_request_refuses_meaningless_tolerances(tol):
+    with pytest.raises(SettingError, match="tolerance"):
+        CertificateRequest(bell_basis(), 2, AB, tol=tol)
+
+
+@pytest.mark.parametrize("max_dim", [0, -5, 2.5])
+def test_request_refuses_meaningless_dimension_guards(max_dim):
+    with pytest.raises(SettingError, match="max_dim"):
+        CertificateRequest(bell_basis(), 2, AB, max_dim=max_dim)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from subsetid import cli
 from subsetid.protocols import builtin_bell43, format_transcript
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -25,6 +26,9 @@ def run_cli(*args, stdin=None):
         input=stdin,
         timeout=120,
     )
+
+
+GES16_SCRIPT = "set e = ges_basis(16)\ntask t = subset(e, k=2)\ncertify t cut A:B\n"
 
 
 @pytest.fixture
@@ -143,6 +147,54 @@ class TestCertify:
         proc = run_cli("certify", triple_script, "--max-dim", "8")
         assert proc.returncode == 3
         assert "exceeds the guard" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--tolerance", "nan"),
+            ("--tolerance", "inf"),
+            ("--tolerance", "0"),
+            ("--max-dim", "-5"),
+        ],
+    )
+    def test_meaningless_settings_exit_2(self, triple_script, flags):
+        proc = run_cli("certify", triple_script, "--format", "structured", *flags)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "SettingError"
+
+    def test_largest_pair_task_is_certified(self):
+        proc = run_cli("certify", "-", stdin=GES16_SCRIPT)
+        assert proc.returncode == 0
+        assert "kappa 32640 vs bound 256 (unitary side right) -> Certified" in proc.stdout
+
+    def test_pair_guard_exit_code(self):
+        # a tolerance below rounding leaves the bound inconclusive, and the
+        # exact scan over C(32640, 2) pairs is refused
+        proc = run_cli(
+            "certify", "-", "--format", "structured", "--tolerance", "1e-300",
+            stdin=GES16_SCRIPT,
+        )
+        assert proc.returncode == 3
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "ResourceLimitError"
+        assert "532668480 hypothesis pairs" in error["message"]
+
+    @pytest.mark.parametrize(
+        "exc,code", [(MemoryError(), 3), (ZeroDivisionError("division by zero"), 1)]
+    )
+    def test_unexpected_errors_become_error_objects(
+        self, triple_script, monkeypatch, capsys, exc, code
+    ):
+        def explode(*_args, **_kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "execute", explode)
+        assert cli.run(["certify", triple_script, "--format", "structured"]) == code
+        out, err = capsys.readouterr()
+        error = json.loads(out)["error"]
+        assert error["type"] == type(exc).__name__
+        assert error["message"]
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestVerify:

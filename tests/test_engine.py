@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from subsetid import execute, render_structured, render_text
-from subsetid.errors import ExecutionError, ResourceLimitError
+from subsetid.errors import ExecutionError, ResourceLimitError, SettingError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -167,6 +167,14 @@ class TestExecutionErrors:
     def test_resource_guard_keeps_its_type(self):
         with pytest.raises(ResourceLimitError, match="line 2"):
             execute("set x = bell_basis(2)\ntask t = subset(x, k=3)", max_dim=32)
+
+    @pytest.mark.parametrize(
+        "settings", [{"tolerance": float("nan")}, {"tolerance": float("inf")}, {"max_dim": -5}]
+    )
+    def test_meaningless_settings_are_refused(self, settings):
+        # refused before any statement runs, simulate as well as certify
+        with pytest.raises(SettingError):
+            execute(TRIO_SCRIPT + "certify t cut auto\n", **settings)
 
     def test_certify_rejects_single_copy_tasks(self):
         src = "set x = states[B1,B3]\ntask t = subset(x, k=1)\ncertify t cut auto\n"

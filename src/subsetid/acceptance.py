@@ -42,7 +42,6 @@ from .families import (
     named_states,
 )
 from .protocols import (
-    builtin_bell32,
     builtin_bell32_variants,
     builtin_bell43,
     format_transcript,
@@ -81,7 +80,7 @@ _EXPECTED_SUPPORT = {
 
 
 def check_transcript_table():
-    protocol, _ = builtin_bell32()
+    protocol, _ = builtin_bell32_variants()
     task = _bell_triple_task((1, 2, 3))
     report = run_exact(protocol, hypothesis_ensemble(task), prune=0.0)
     for h, dist in zip(report.hypotheses, report.distributions):
@@ -359,7 +358,7 @@ _FUZZ_TOKENS = (
 def check_infrastructure():
     conservation = 0
     for name, k in (("bell32", 2), ("bell43", 3)):
-        protocol, _ = (builtin_bell32 if name == "bell32" else builtin_bell43)()
+        protocol, _ = (builtin_bell32_variants if name == "bell32" else builtin_bell43)()
         task = SubsetTask(bell_basis(), k)
         report = run_exact(protocol, hypothesis_ensemble(task))
         for dist, comps in zip(report.distributions, report.by_component):
@@ -383,13 +382,9 @@ def check_infrastructure():
         except Exception as e:  # noqa: BLE001 - totality is the property
             return False, f"fuzz input {text!r} crashed with {type(e).__name__}: {e}"
 
-    renders = {
-        render_structured(execute(_DETERMINISM_SCRIPT, workers=w))
-        for w in (1, 2)
-        for _ in range(2)
-    }
+    renders = {render_structured(execute(_DETERMINISM_SCRIPT)) for _ in range(2)}
     if len(renders) != 1:
-        return False, "report bytes differ across runs or worker counts"
+        return False, "report bytes differ across runs"
 
     for src in _ROUND_TRIP_CORPUS:
         once = parse(src)

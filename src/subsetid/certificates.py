@@ -51,7 +51,9 @@ every overlap the scan would compute. On the orthonormal families shipped
 here eps is at rounding level (below 1e-29), so the scan runs only for sets
 built with ``require_orthonormal=False`` or for tolerances below rounding.
 The scan visits all C(C(n, k), 2) subset pairs, vectorised over chunks of
-pairs, and refuses with ResourceLimitError beyond ``MAX_OVERLAP_PAIRS``.
+pairs. Each pair costs 2^k - 1 Ryser terms, so the scan refuses with
+ResourceLimitError when pairs * (2^k - 1) exceeds 3 * ``MAX_OVERLAP_PAIRS``,
+which is ``MAX_OVERLAP_PAIRS`` pairs at k = 2 and fewer at larger k.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ PREMISE_FAILS = "PremiseFails"
 #: request marker: certify every bipartition of the parties
 ALL_CUTS = "all"
 
-#: most subset pairs the exact overlap scan will visit
+#: most subset pairs the exact overlap scan will visit at k = 2; at other k
+#: the scan's Ryser terms, pairs * (2^k - 1), are held to 3 times this
 MAX_OVERLAP_PAIRS = 2 ** 24
 #: subset pairs gathered per vectorised step of the scan
 _PAIR_CHUNK = 2 ** 15
@@ -152,16 +155,18 @@ def _ryser_permanents(blocks: np.ndarray) -> np.ndarray:
 def max_hypothesis_overlap(state_set: StateSet, k: int) -> float:
     """Largest tr(rho_i rho_j) over distinct subsets, via the permanent identity.
 
-    Exact: every pair of subsets is visited, so the work grows as C(C(n, k), 2)
-    and is refused beyond ``MAX_OVERLAP_PAIRS`` pairs.
+    Exact: every pair of subsets is visited at 2^k - 1 Ryser terms each, so
+    the work grows as C(C(n, k), 2) * (2^k - 1) and is refused beyond
+    3 * ``MAX_OVERLAP_PAIRS`` terms.
     """
     subsets = np.array(enumerate_subsets(len(state_set), k))
     h = len(subsets)
     n_pairs = h * (h - 1) // 2
-    if n_pairs > MAX_OVERLAP_PAIRS:
+    terms = n_pairs * (2 ** k - 1)
+    if terms > 3 * MAX_OVERLAP_PAIRS:
         raise ResourceLimitError(
-            f"overlap scan over {n_pairs} hypothesis pairs exceeds the guard of "
-            f"{MAX_OVERLAP_PAIRS}"
+            f"overlap scan over {n_pairs} hypothesis pairs ({terms} Ryser terms) "
+            f"exceeds the guard of {3 * MAX_OVERLAP_PAIRS} terms"
         )
     g2 = np.abs(state_set.gram) ** 2
     # pair p runs over (i, j > i) row by row; row i starts at first[i]
@@ -227,8 +232,8 @@ def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) 
     the identity side) is checked explicitly.
 
     ``orthogonal`` is the cut-independent overlap premise when the caller has
-    already decided it for this set, k and tolerance (see certify_cuts); by
-    default it is decided here.
+    already decided it for this set, k and tolerance (see certify_genuine);
+    by default it is decided here.
     """
     if not isinstance(request.cut, Cut):
         raise ValueError("certify_cut needs a single cut; use certify_genuine for all")
@@ -316,32 +321,26 @@ def aggregate_verdict(verdicts) -> str:
     return CONDITION_FAILS
 
 
-def certify_cuts(request: CertificateRequest, cuts=None, map_fn=map) -> GenuineResult:
-    """Certify each of ``cuts`` (every bipartition by default) and aggregate.
+def certify_genuine(request: CertificateRequest) -> GenuineResult:
+    """Certify the request's cut, or every bipartition for ``ALL_CUTS``, and
+    aggregate the verdicts.
 
-    The overlap premise does not depend on the cut, so it is decided once,
-    before the cuts are mapped, and every cut shares that value. ``map_fn``
-    has the signature of the builtin ``map`` and may spread the cuts over
-    workers; certificates keep the order of ``cuts`` either way.
+    Over every bipartition of three or more parties the aggregate means the
+    task is genuinely unidentifiable: no two-lab coalition ever helps; a
+    two-party set degenerates to its single cut. Cuts follow the order of
+    ``all_bipartitions``. The overlap premise does not depend on the cut, so
+    it is decided once and every cut shares it.
     """
-    if cuts is None:
+    if isinstance(request.cut, Cut):
+        cuts = (request.cut,)
+    else:
         cuts = all_bipartitions(request.state_set.parties)
     _check_stacked_dim(request)
     orthogonal = orthogonal_hypotheses(request.state_set, request.k, request.tol)
     certs = tuple(
-        map_fn(lambda cut: certify_cut(replace(request, cut=cut), orthogonal=orthogonal), cuts)
+        certify_cut(replace(request, cut=cut), orthogonal=orthogonal) for cut in cuts
     )
     return GenuineResult(certs, aggregate_verdict(c.verdict for c in certs))
-
-
-def certify_genuine(request: CertificateRequest) -> GenuineResult:
-    """Certify every bipartition and aggregate the verdicts.
-
-    Meant for sets on three or more parties, where "genuinely
-    unidentifiable" means no two-lab coalition ever helps; a two-party set
-    degenerates to its single cut.
-    """
-    return certify_cuts(request)
 
 
 def certify_basis_pairs(d: int) -> Certificate:

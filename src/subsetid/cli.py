@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .acceptance import run_all
-from .engine import execute, render_structured, render_text
+from .engine import execute, format_float, render_structured, render_text
 from .errors import ResourceLimitError, ScriptError, SettingError
 from .families import bell_basis, ges_basis, ghz3_basis, ghz4_basis
 from .script import parse as parse_script
@@ -33,11 +33,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _format_component(x: float) -> str:
-    s = "%.12g" % x
-    return "0" if s == "-0" else s
-
-
 def format_amplitude(z: complex) -> str:
     """Render one amplitude, dropping parts below 1e-12: ``0.5``, ``-0.5i``,
     ``0.25-0.25i``."""
@@ -45,11 +40,11 @@ def format_amplitude(z: complex) -> str:
     re = 0.0 if abs(z.real) < 1e-12 else z.real
     im = 0.0 if abs(z.imag) < 1e-12 else z.imag
     if im == 0.0:
-        return _format_component(re)
+        return format_float(re)
     if re == 0.0:
-        return _format_component(im) + "i"
+        return format_float(im) + "i"
     sign = "+" if im > 0 else "-"
-    return f"{_format_component(re)}{sign}{_format_component(abs(im))}i"
+    return f"{format_float(re)}{sign}{format_float(abs(im))}i"
 
 
 def _add_run_flags(parser: argparse.ArgumentParser):

@@ -4,8 +4,8 @@ The report is a plain dict with three sections filled in statement order:
 ``sets`` and ``tasks`` describe the declared objects, ``runs`` holds one
 record per simulate or certify statement. ``render_structured`` writes the
 report as JSON with sorted keys and fixed float formatting, so two runs of
-the same script produce byte-identical output regardless of the worker
-count; ``render_text`` is the human-oriented view of the same data.
+the same script produce byte-identical output; ``render_text`` is the
+human-oriented view of the same data.
 
 Errors found while executing carry the line of the offending statement.
 Resource limits keep their own exception type (the command line maps it to
@@ -15,15 +15,12 @@ a dedicated exit code) but gain the same line prefix.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 from . import families
-from .certificates import ALL_CUTS, CertificateRequest, certify_cuts
+from .certificates import ALL_CUTS, CertificateRequest, certify_genuine
 from .errors import ExecutionError, ResourceLimitError
 from .protocols import (
     PROTOCOLS,
-    SimulationReport,
     format_transcript,
     order_blindness_verdict,
     perfect_identification,
@@ -45,14 +42,6 @@ from .subsets import DEFAULT_MAX_DIM, SubsetTask, check_settings, hypothesis_ens
 REPORT_VERSION = 1
 
 
-def _ordered_map(fn, items, workers: int) -> list:
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -62,10 +51,9 @@ def _jsonable(value):
 
 
 class _Engine:
-    def __init__(self, tolerance: float, max_dim: int, workers: int):
+    def __init__(self, tolerance: float, max_dim: int):
         self.tolerance = tolerance
         self.max_dim = max_dim
-        self.workers = workers
         self.sets: dict = {}
         self.tasks: dict[str, SubsetTask] = {}
         self.report: dict = {"version": REPORT_VERSION, "sets": {}, "tasks": {}, "runs": []}
@@ -138,14 +126,7 @@ class _Engine:
             )
         protocol, classifier = PROTOCOLS[stmt.protocol]()
         hypotheses = hypothesis_ensemble(task)
-        parts = _ordered_map(
-            lambda h: run_exact(protocol, [h]), hypotheses, self.workers
-        )
-        sim = SimulationReport(
-            hypotheses,
-            tuple(p.distributions[0] for p in parts),
-            tuple(p.by_component[0] for p in parts),
-        )
+        sim = run_exact(protocol, hypotheses)
         identified = perfect_identification(sim, classifier)
         blind = order_blindness_verdict(sim, self.tolerance)
         record = {
@@ -175,22 +156,20 @@ class _Engine:
         task = self.tasks[stmt.task_name]
         layout = task.state_set.layout
         if stmt.cut == ALL_CUTS:
-            cuts = None
+            cut = ALL_CUTS
         elif stmt.cut == "auto":
             if len(layout.parties) != 2:
                 raise ValueError(
                     "cut auto needs a two-party set, this one has parties "
                     + ", ".join(layout.parties)
                 )
-            cuts = (Cut.between(layout.parties[:1], layout.parties[1:]),)
+            cut = Cut.between(layout.parties[:1], layout.parties[1:])
         else:
-            cuts = (self.explicit_cut(stmt.cut, layout),)
-        result = certify_cuts(
+            cut = self.explicit_cut(stmt.cut, layout)
+        result = certify_genuine(
             CertificateRequest(
-                task.state_set, task.k, tol=self.tolerance, max_dim=self.max_dim
-            ),
-            cuts,
-            partial(_ordered_map, workers=self.workers),
+                task.state_set, task.k, cut, tol=self.tolerance, max_dim=self.max_dim
+            )
         )
         record = {
             "kind": "certify",
@@ -233,28 +212,26 @@ def execute(
     *,
     tolerance: float = ATOL,
     max_dim: int = DEFAULT_MAX_DIM,
-    workers: int = 1,
     only=None,
 ) -> dict:
     """Run a script (text or parsed) and return the report dict.
 
     ``only`` restricts which run statements execute ({"simulate"},
-    {"certify"}, or None for both); declarations always run. ``workers``
-    spreads hypotheses and cuts over a thread pool without changing any
-    reported value.
+    {"certify"}, or None for both); declarations always run. Statements run
+    one after another in script order, each simulate as one ``run_exact``
+    call and each certify as one ``certify_genuine`` call.
     """
     check_settings(tolerance, max_dim)
     if isinstance(script, str):
         script = parse(script)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    return _Engine(tolerance, max_dim, workers).run(script, only)
+    return _Engine(tolerance, max_dim).run(script, only)
 
 
 # --- report rendering ---
 
 
-def _format_float(x: float) -> str:
+def format_float(x: float) -> str:
+    """Twelve significant digits, with negative zero printed as ``0``."""
     s = "%.12g" % x
     return "0" if s == "-0" else s
 
@@ -281,7 +258,7 @@ def _render_json(value, indent: int) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _format_float(value)
+        return format_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot render {type(value).__name__} in a report")
@@ -301,7 +278,7 @@ def _witness_line(witness: dict) -> str:
     parts = []
     for key in sorted(witness):
         v = witness[key]
-        parts.append(f"{key}={_format_float(v) if isinstance(v, float) else v}")
+        parts.append(f"{key}={format_float(v) if isinstance(v, float) else v}")
     return ", ".join(parts)
 
 
@@ -328,7 +305,7 @@ def render_text(report: dict) -> str:
                 subset = ",".join(str(i) for i in h["subset"])
                 lines.append(f"  hypothesis {h['states']} (subset {subset})")
                 for t, p in h["distribution"].items():
-                    lines.append(f"    {t}  {_format_float(p)}")
+                    lines.append(f"    {t}  {format_float(p)}")
             lines.append(f"  perfect identification: {_yesno(run['perfect_identification'])}")
             lines.append(f"  order blindness: {_yesno(run['order_blindness'])}")
             if "identification_witness" in run:

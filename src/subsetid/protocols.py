@@ -216,48 +216,19 @@ def _run_pure(protocol: Protocol, layout: Layout, amps: np.ndarray, prune: float
     return {prefix: float(np.vdot(vec, vec).real) for prefix, vec in branches}
 
 
-def _run_density(protocol: Protocol, layout: Layout, rho: np.ndarray, prune: float) -> dict:
-    n = len(layout.factors)
-    dims2 = layout.dims + layout.dims
-    branches = [((), rho.reshape(-1))]
-    for step in protocol.steps:
-        grown = []
-        for prefix, flat in branches:
-            m = step.choose(prefix)
-            positions = layout.positions_of(m.party)
-            col_positions = [n + i for i in positions]
-            for proj, outcome in zip(m.projectors, m.outcomes):
-                out = _apply_block(flat, dims2, positions, proj)
-                out = _apply_block(out, dims2, col_positions, proj.conj())
-                trace = float(np.einsum("ii->", out.reshape(layout.dim, layout.dim)).real)
-                if trace >= prune:
-                    grown.append((prefix + ((m.party, outcome),), out))
-        branches = grown
-    return {
-        prefix: float(np.einsum("ii->", flat.reshape(layout.dim, layout.dim)).real)
-        for prefix, flat in branches
-    }
-
-
 def run_exact(
     protocol: Protocol,
     hypotheses: Sequence[MixedHypothesis],
     *,
-    method: str = "components",
     prune: float = PRUNE_TOL,
 ) -> SimulationReport:
     """Propagate every branch of the protocol against every hypothesis.
 
-    Parameters
-    ----------
-    method : {"components", "density"}
-        "components" runs each pure ordering separately and averages, which
-        also yields the per-ordering distributions used by the order
-        blindness check. "density" projects the dense mixed state directly;
-        it exists as an independent route for cross-checking and only works
-        at dimensions where the dense matrix is allowed.
-    prune : float
-        Branches below this probability are dropped as exactly zero.
+    Each pure ordering of a hypothesis runs separately and the hypothesis's
+    distribution is their average, so the per-ordering distributions used by
+    the order-blindness check come out of the same pass; the dense mixed
+    state is never formed. Branches below ``prune`` are dropped as exactly
+    zero.
     """
     hypotheses = tuple(hypotheses)
     if not hypotheses:
@@ -266,26 +237,18 @@ def run_exact(
     for h in hypotheses[1:]:
         if h.layout != layout:
             raise ValueError("hypotheses must share the stacked layout")
-    if method not in ("components", "density"):
-        raise ValueError(f"unknown simulation method {method!r}")
     _check_locality(protocol, layout)
 
     distributions = []
     by_component = []
     for h in hypotheses:
-        if method == "components":
-            comp_dists = tuple(
-                _run_pure(protocol, layout, c.amplitudes, prune) for c in h.components
-            )
-            merged: dict = {}
-            for d in comp_dists:
-                for t, p in d.items():
-                    merged[t] = merged.get(t, 0.0) + p / len(comp_dists)
-        else:
-            comp_dists = tuple(
-                _run_pure(protocol, layout, c.amplitudes, prune) for c in h.components
-            )
-            merged = _run_density(protocol, layout, h.rho.matrix, prune)
+        comp_dists = tuple(
+            _run_pure(protocol, layout, c.amplitudes, prune) for c in h.components
+        )
+        merged: dict = {}
+        for d in comp_dists:
+            for t, p in d.items():
+                merged[t] = merged.get(t, 0.0) + p / len(comp_dists)
         distributions.append(merged)
         by_component.append(comp_dists)
     return SimulationReport(hypotheses, tuple(distributions), tuple(by_component))
@@ -409,44 +372,20 @@ def _ghz3_measurement(party: str) -> Measurement:
     return basis_measurement(party, [ghz3(a) for a in range(1, 9)])
 
 
-def _t2(a: int, b: int) -> Transcript:
-    return (("A", a), ("B", b))
-
-
-# Decision table for two distributed Bell states out of {B1, B2, B3}:
-# outcome pair (Alice, Bob) -> candidate pair, 0-based into that triple.
-# Each hypothesis reaches exactly four pairs, each with probability 1/4, and
-# no pair is reachable under two hypotheses.
-_BELL32_TABLE: dict[Transcript, tuple[int, ...]] = {
-    _t2(1, 2): (0, 1), _t2(2, 1): (0, 1), _t2(3, 4): (0, 1), _t2(4, 3): (0, 1),
-    _t2(1, 4): (1, 2), _t2(2, 3): (1, 2), _t2(3, 2): (1, 2), _t2(4, 1): (1, 2),
-    _t2(1, 3): (0, 2), _t2(2, 4): (0, 2), _t2(3, 1): (0, 2), _t2(4, 2): (0, 2),
-}
-
-
-def builtin_bell32() -> tuple[Protocol, Classifier]:
-    """Paired Bell-basis measurements with the frozen decision table.
+def builtin_bell32_variants(triple: Sequence[int] = (1, 2, 3)) -> tuple[Protocol, Classifier]:
+    """Paired Bell-basis measurements identifying two Bell states of a triple.
 
     Alice measures her two qubits in the Bell basis, then Bob does the same;
-    the classifier identifies which pair out of {B1, B2, B3} was distributed.
-    The same protocol run on any single pair in both orders produces one and
-    the same distribution, so it identifies the pair without ever learning
-    the order.
-    """
-    protocol = Protocol(
-        "bell32",
-        (ProtocolStep(_bell_measurement("A")), ProtocolStep(_bell_measurement("B"))),
-    )
-    return protocol, Classifier(dict(_BELL32_TABLE))
-
-
-def builtin_bell32_variants(triple: Sequence[int]) -> tuple[Protocol, Classifier]:
-    """The same measurement scheme retargeted at any Bell triple.
+    the classifier identifies which pair out of the triple was distributed
+    (by default {B1, B2, B3}). The same protocol run on any single pair in
+    both orders produces one and the same distribution, so it identifies
+    the pair without ever learning the order.
 
     ``triple`` lists three distinct Bell indices from 1..4. The classifier is
-    rebuilt by exhaustive tallying over that triple's three pair hypotheses
-    and construction fails with AmbiguityError if two pairs ever share a
-    transcript; all four triples tally cleanly.
+    tallied by exhaustive simulation over that triple's three pair
+    hypotheses, and construction fails with AmbiguityError if two pairs ever
+    share a transcript; all four triples tally cleanly, each pair reaching
+    four transcripts at probability 1/4.
     """
     triple = tuple(sorted(triple))
     if len(triple) != 3 or len(set(triple)) != 3 or not all(1 <= i <= 4 for i in triple):
@@ -471,7 +410,10 @@ def _t43(a: int, b: int) -> Transcript:
 # distributions coincide exactly), so the frozen table routes every
 # transcript to the earliest claimant and perfect identification fails.
 # Machine-tallied from the exhaustive simulation (48 reached transcripts,
-# each with probability 1/24 under each of its two claimants).
+# each with probability 1/24 under each of its two claimants). It stays
+# frozen because deriving it in builtin_bell43 would re-run that simulation,
+# about half a bell43 simulate request, on every call; tests pin it to the
+# tally (tests/golden/bell43_classifier.txt and test_first_claimant_mode).
 _BELL43_TABLE: dict[Transcript, tuple[int, ...]] = {
     _t43(1, 3): (0, 1, 3),
     _t43(1, 4): (0, 1, 2),
@@ -543,4 +485,4 @@ def builtin_bell43() -> tuple[Protocol, Classifier]:
 
 
 #: builtin protocols addressable from scripts
-PROTOCOLS = {"bell32": builtin_bell32, "bell43": builtin_bell43}
+PROTOCOLS = {"bell32": builtin_bell32_variants, "bell43": builtin_bell43}

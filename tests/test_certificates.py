@@ -32,7 +32,6 @@ from subsetid.certificates import (
     AXIOM_MES,
     AXIOM_ONE_SIDED,
     aggregate_verdict,
-    certify_cuts,
     hypothesis_overlap_bound,
     orthogonal_hypotheses,
 )
@@ -272,10 +271,10 @@ def test_premise_decided_once_per_request(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(certificates, "orthogonal_hypotheses", counted)
-    result = certify_cuts(CertificateRequest(ghz3_basis(), 2))
+    result = certify_genuine(CertificateRequest(ghz3_basis(), 2))
     assert len(result.certificates) == 3 and len(calls) == 1
     calls.clear()
-    execute("set g = ghz3_basis\ntask t = subset(g, k=2)\ncertify t cut all\n", workers=2)
+    execute("set g = ghz3_basis\ntask t = subset(g, k=2)\ncertify t cut all\n")
     assert len(calls) == 1
 
 
@@ -287,6 +286,19 @@ def test_pair_guard(monkeypatch):
         certify_cut(CertificateRequest(doctored_set(), 2, AB))
     # the bound settles orthonormal families without touching the guard
     assert certify_cut(CertificateRequest(bell_basis(), 2, AB)).verdict == CERTIFIED
+
+
+def test_guard_counts_ryser_terms(monkeypatch):
+    # 6 pairs of 3-subsets at 7 Ryser terms each: 42 terms, over the 30 of a
+    # 10-pair limit although the pair count is under it
+    monkeypatch.setattr(certificates, "MAX_OVERLAP_PAIRS", 10)
+    with pytest.raises(ResourceLimitError, match=r"6 hypothesis pairs \(42 Ryser terms\)"):
+        max_hypothesis_overlap(doctored_set(), 3)
+    monkeypatch.setattr(certificates, "MAX_OVERLAP_PAIRS", 14)
+    assert max_hypothesis_overlap(doctored_set(), 3) > 0
+    # at k = 2 the limit is still the pair count: 15 pairs pass a 15-pair limit
+    monkeypatch.setattr(certificates, "MAX_OVERLAP_PAIRS", 15)
+    assert max_hypothesis_overlap(doctored_set(), 2) > 0
 
 
 def test_largest_pair_task_inside_the_dimension_guard():

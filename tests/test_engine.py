@@ -92,12 +92,8 @@ class TestOnlyFilter:
 class TestDeterminism:
     SCRIPT = TRIO_SCRIPT + "certify t cut auto\n"
 
-    def test_bytes_stable_across_runs_and_workers(self):
-        blobs = {
-            render_structured(execute(self.SCRIPT, workers=w))
-            for w in (1, 2)
-            for _ in range(2)
-        }
+    def test_bytes_stable_across_runs(self):
+        blobs = {render_structured(execute(self.SCRIPT)) for _ in range(2)}
         assert len(blobs) == 1
 
     def test_structured_output_is_json(self):
@@ -105,10 +101,6 @@ class TestDeterminism:
         parsed = json.loads(text)
         assert parsed["version"] == 1
         assert text.endswith("\n")
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError, match="workers"):
-            execute(self.SCRIPT, workers=0)
 
 
 class TestGoldenFiles:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from subsetid import (
+    ATOL,
     Classifier,
     Measurement,
     Protocol,
@@ -10,7 +13,6 @@ from subsetid import (
     SubsetTask,
     basis_measurement,
     bell_basis,
-    builtin_bell32,
     builtin_bell32_variants,
     builtin_bell43,
     derive_classifier,
@@ -24,13 +26,49 @@ from subsetid import (
     run_exact,
     validate,
 )
+from subsetid.acceptance import _EXPECTED_SUPPORT
 from subsetid.errors import AmbiguityError, CoverageError, LocalityError
+from subsetid.protocols import PRUNE_TOL
 
 
-def bell32_report(method="components"):
-    protocol, classifier = builtin_bell32()
+def bell32_report():
+    protocol, classifier = builtin_bell32_variants()
     task = SubsetTask(named_states(["B1", "B2", "B3"]), 2)
-    return run_exact(protocol, hypothesis_ensemble(task), method=method), classifier
+    return run_exact(protocol, hypothesis_ensemble(task)), classifier
+
+
+def _embed(matrix, layout, party):
+    """The full-space operator acting as ``matrix`` on the party's factors."""
+    dims = layout.dims
+    positions = layout.positions_of(party)
+    perm = list(positions) + [i for i in range(len(dims)) if i not in positions]
+    # flat index, in the original factor order, of each party-first basis state
+    order = np.arange(layout.dim).reshape(dims).transpose(perm).reshape(-1)
+    full = np.zeros((layout.dim, layout.dim), dtype=np.complex128)
+    full[np.ix_(order, order)] = np.kron(matrix, np.eye(layout.dim // matrix.shape[0]))
+    return full
+
+
+def dense_distribution(protocol, hypothesis, prune=PRUNE_TOL):
+    """Reference route: project the dense mixed state rho branch by branch.
+
+    Independent of ``run_exact``, which never forms rho: each outcome's
+    projector is embedded in the full space and applied on both sides, and a
+    transcript's probability is the trace of what is left.
+    """
+    layout = hypothesis.layout
+    branches = [((), hypothesis.rho.matrix)]
+    for step in protocol.steps:
+        grown = []
+        for prefix, rho in branches:
+            m = step.choose(prefix)
+            for proj, outcome in zip(m.projectors, m.outcomes):
+                p = _embed(proj, layout, m.party)
+                out = p @ rho @ p.conj().T
+                if np.trace(out).real >= prune:
+                    grown.append((prefix + ((m.party, outcome),), out))
+        branches = grown
+    return {prefix: float(np.trace(rho).real) for prefix, rho in branches}
 
 
 class TestMeasurement:
@@ -57,7 +95,7 @@ class TestMeasurement:
 
 class TestValidate:
     def test_builtins_validate(self):
-        for builder in (builtin_bell32, builtin_bell43):
+        for builder in (builtin_bell32_variants, builtin_bell43):
             protocol, _ = builder()
             assert validate(protocol).ok
 
@@ -83,7 +121,7 @@ class TestLocality:
             run_exact(protocol, hypothesis_ensemble(task))
 
     def test_dimension_mismatch(self):
-        protocol, _ = builtin_bell32()
+        protocol, _ = builtin_bell32_variants()
         task = SubsetTask(ges_basis(3), 2)  # party blocks have dimension 9
         with pytest.raises(LocalityError, match="dimension 4"):
             run_exact(protocol, hypothesis_ensemble(task))
@@ -91,15 +129,16 @@ class TestLocality:
 
 class TestRunExact:
     def test_component_and_density_routes_agree(self):
-        components, _ = bell32_report("components")
-        density, _ = bell32_report("density")
-        for a, b in zip(components.distributions, density.distributions):
+        report, _ = bell32_report()
+        protocol, _ = builtin_bell32_variants()
+        for h, a in zip(report.hypotheses, report.distributions):
+            b = dense_distribution(protocol, h)
             assert set(a) == set(b)
             for t in a:
                 assert a[t] == pytest.approx(b[t], abs=1e-12)
 
     def test_prune_zero_keeps_null_branches(self):
-        protocol, _ = builtin_bell32()
+        protocol, _ = builtin_bell32_variants()
         task = SubsetTask(named_states(["B1", "B2", "B3"]), 2)
         report = run_exact(protocol, hypothesis_ensemble(task), prune=0.0)
         assert all(len(d) == 16 for d in report.distributions)
@@ -107,12 +146,51 @@ class TestRunExact:
         assert all(len(d) == 4 for d in pruned.distributions)
 
     def test_input_validation(self):
-        protocol, _ = builtin_bell32()
+        protocol, _ = builtin_bell32_variants()
         with pytest.raises(ValueError, match="at least one hypothesis"):
             run_exact(protocol, [])
-        task = SubsetTask(named_states(["B1", "B2", "B3"]), 2)
-        with pytest.raises(ValueError, match="unknown simulation method"):
-            run_exact(protocol, hypothesis_ensemble(task), method="magic")
+
+
+def _random_basis(party, dim, rng):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(z)
+    return basis_measurement(party, q.T)
+
+
+@st.composite
+def random_runs(draw):
+    """A small Bell task (a pair or a triple, k in {1, 2}) and a valid random
+    protocol: one or two random-unitary basis measurements, the second
+    sometimes swapped on some outcomes of the first."""
+    members = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3, unique=True))
+    k = draw(st.integers(1, min(2, len(members) - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = 2 ** k
+    parties = draw(st.lists(st.sampled_from("AB"), min_size=1, max_size=2))
+    steps = [ProtocolStep(_random_basis(parties[0], dim, rng))]
+    if len(parties) == 2:
+        swapped = draw(st.sets(st.integers(1, dim)))
+        variants = {
+            ((parties[0], o),): _random_basis(draw(st.sampled_from("AB")), dim, rng)
+            for o in sorted(swapped)
+        }
+        steps.append(ProtocolStep(_random_basis(parties[1], dim, rng), variants))
+    task = SubsetTask(named_states([f"B{i}" for i in members]), k)
+    return Protocol("random", tuple(steps)), task
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_runs())
+def test_run_exact_matches_the_dense_reference(case):
+    protocol, task = case
+    assert validate(protocol).ok
+    report = run_exact(protocol, hypothesis_ensemble(task))
+    for h, dist, comps in zip(report.hypotheses, report.distributions, report.by_component):
+        dense = dense_distribution(protocol, h)
+        for t in set(dist) | set(dense):
+            assert dist.get(t, 0.0) == pytest.approx(dense.get(t, 0.0), abs=1e-12)
+        for d in comps:
+            assert sum(d.values()) == pytest.approx(1.0, abs=ATOL)
 
 
 class TestIdentification:
@@ -124,7 +202,7 @@ class TestIdentification:
         assert blind.ok
 
     def test_order_blindness_convenience(self):
-        protocol, _ = builtin_bell32()
+        protocol, _ = builtin_bell32_variants()
         task = SubsetTask(named_states(["B1", "B2", "B3"]), 2)
         assert order_blindness(protocol, task, (0, 2))
 
@@ -205,9 +283,13 @@ class TestAdaptiveVariants:
 
 class TestDeriveClassifier:
     def test_matches_builtin_table(self):
-        report, classifier = bell32_report()
-        derived = derive_classifier(report)
-        assert derived.table == classifier.table
+        _, classifier = bell32_report()
+        written_out = {
+            (("A", a), ("B", b)): subset
+            for subset, pairs in _EXPECTED_SUPPORT.items()
+            for a, b in pairs
+        }
+        assert classifier.table == written_out
 
     def test_ambiguity_raises_by_default(self):
         protocol, _ = builtin_bell43()
@@ -255,7 +337,7 @@ def test_format_transcript():
 
 
 def test_classifier_sorted_items_deterministic():
-    _, classifier = builtin_bell32()
+    _, classifier = builtin_bell32_variants()
     items = classifier.sorted_items()
     assert items == sorted(items)
     assert len(items) == 12

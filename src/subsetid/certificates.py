@@ -67,7 +67,13 @@ import numpy as np
 from .errors import ResourceLimitError
 from .families import ges_basis
 from .statespace import ATOL, Cut, _vector_reduction, is_maximally_entangled
-from .subsets import DEFAULT_MAX_DIM, StateSet, check_settings, enumerate_subsets
+from .subsets import (
+    DEFAULT_MAX_DIM,
+    StateSet,
+    check_settings,
+    check_stacked_dim,
+    enumerate_subsets,
+)
 
 AXIOM_MES = "complete-MES-basis-indistinguishability"
 AXIOM_ONE_SIDED = "one-sided-unitary-family-indistinguishability"
@@ -91,7 +97,8 @@ class CertificateRequest:
     """What to certify: a state set, the subset size, and one cut or all.
 
     Subset sizes are restricted to 1 < k < D; identifying a single state is
-    a different task, and k = D leaves nothing to identify.
+    a different task, and k = D leaves nothing to identify. A request whose
+    stacked dimension exceeds ``max_dim`` is refused here, like a task.
     """
 
     state_set: StateSet
@@ -107,10 +114,7 @@ class CertificateRequest:
             raise ValueError(f"subset size k={self.k} must satisfy 1 < k < D={d}")
         if not isinstance(self.cut, Cut) and self.cut != ALL_CUTS:
             raise ValueError(f"cut must be a Cut or the marker {ALL_CUTS!r}")
-
-    @property
-    def stacked_dim(self) -> int:
-        return self.state_set.layout.dim ** self.k
+        check_stacked_dim(self.state_set, self.k, self.max_dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,14 +217,6 @@ def _reductions_agree(state_set: StateSet, positions: tuple[int, ...], tol: floa
     return True
 
 
-def _check_stacked_dim(request: CertificateRequest):
-    if request.stacked_dim > request.max_dim:
-        raise ResourceLimitError(
-            f"stacked dimension {request.state_set.layout.dim}**{request.k} = "
-            f"{request.stacked_dim} exceeds the guard of {request.max_dim}"
-        )
-
-
 def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) -> Certificate:
     """Evaluate the counting certificate for a single bipartition.
 
@@ -237,7 +233,6 @@ def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) 
     """
     if not isinstance(request.cut, Cut):
         raise ValueError("certify_cut needs a single cut; use certify_genuine for all")
-    _check_stacked_dim(request)
     state_set, k, tol = request.state_set, request.k, request.tol
     if orthogonal is None:
         orthogonal = orthogonal_hypotheses(state_set, k, tol)
@@ -335,7 +330,6 @@ def certify_genuine(request: CertificateRequest) -> GenuineResult:
         cuts = (request.cut,)
     else:
         cuts = all_bipartitions(request.state_set.parties)
-    _check_stacked_dim(request)
     orthogonal = orthogonal_hypotheses(request.state_set, request.k, request.tol)
     certs = tuple(
         certify_cut(replace(request, cut=cut), orthogonal=orthogonal) for cut in cuts

@@ -19,7 +19,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .acceptance import run_all
 from .engine import execute, format_float, render_structured, render_text
 from .errors import ResourceLimitError, ScriptError, SettingError
 from .families import bell_basis, ges_basis, ghz3_basis, ghz4_basis
@@ -185,6 +184,9 @@ def _cmd_run(args, only: set[str]) -> int:
 
 
 def _cmd_verify(_args) -> int:
+    # imported here: the suite's module is large, and no other command needs it
+    from .acceptance import run_all
+
     results = run_all()
     for cid, title, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {cid} {title}: {detail}")

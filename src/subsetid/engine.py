@@ -21,6 +21,7 @@ from .certificates import ALL_CUTS, CertificateRequest, certify_genuine
 from .errors import ExecutionError, ResourceLimitError
 from .protocols import (
     PROTOCOLS,
+    check_locality,
     format_transcript,
     order_blindness_verdict,
     perfect_identification,
@@ -37,7 +38,13 @@ from .script import (
     parse,
 )
 from .statespace import ATOL, Cut
-from .subsets import DEFAULT_MAX_DIM, SubsetTask, check_settings, hypothesis_ensemble
+from .subsets import (
+    DEFAULT_MAX_DIM,
+    SubsetTask,
+    check_settings,
+    hypothesis_ensemble,
+    stacked_state,
+)
 
 REPORT_VERSION = 1
 
@@ -125,6 +132,8 @@ class _Engine:
                 f"(available: {', '.join(sorted(PROTOCOLS))})"
             )
         protocol, classifier = PROTOCOLS[stmt.protocol]()
+        # refuse a protocol that does not fit before any hypothesis is built
+        check_locality(protocol, stacked_state(task.state_set, range(task.k)).layout)
         hypotheses = hypothesis_ensemble(task)
         sim = run_exact(protocol, hypotheses)
         identified = perfect_identification(sim, classifier)

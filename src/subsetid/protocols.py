@@ -10,21 +10,24 @@ transcript distributions are not sampled, they are computed.
 A classifier turns transcripts into subset verdicts. The two builtin
 protocols cover the Bell-state tasks: ``bell32`` (paired Bell-basis
 measurements for two distributed Bell states out of three candidates) and
-``bell43`` (three-qubit GHZ-basis measurements for three out of four).
+``bell43`` (three-qubit GHZ-basis measurements for three out of four). Both
+classifiers are tallied from an exhaustive simulation each time the
+protocol is built; neither is stored.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import AmbiguityError, CoverageError, LocalityError
-from .families import bell, ghz3, named_states
+from .families import bell_basis, ghz3_basis, named_states
 from .statespace import ATOL, Layout, StateVector
-from .subsets import MixedHypothesis, SubsetTask, hypothesis_ensemble, rho_subset
+from .subsets import MixedHypothesis, StateSet, SubsetTask, hypothesis_ensemble, rho_subset
 
 #: branches below this probability are treated as exactly zero
 PRUNE_TOL = 1e-12
@@ -158,18 +161,9 @@ def validate(protocol: Protocol, tol: float = ATOL) -> ValidationReport:
     return ValidationReport(True)
 
 
-def _apply_block(amps: np.ndarray, dims: Sequence[int], positions: Sequence[int], matrix: np.ndarray) -> np.ndarray:
-    """Apply a matrix to the given factor positions of a flat vector."""
-    n = len(dims)
-    rest = [i for i in range(n) if i not in positions]
-    perm = list(positions) + rest
-    t = amps.reshape(dims).transpose(perm)
-    t = matrix @ t.reshape(matrix.shape[1], -1)
-    t = t.reshape([dims[i] for i in perm])
-    return t.transpose(np.argsort(perm)).reshape(-1)
-
-
-def _check_locality(protocol: Protocol, layout: Layout) -> None:
+def check_locality(protocol: Protocol, layout: Layout) -> None:
+    """Raise LocalityError unless every measurement acts on exactly the
+    factors one party of the layout holds."""
     for si, step in enumerate(protocol.steps, start=1):
         for _, m in step.all_measurements():
             if m.party not in layout.parties:
@@ -200,16 +194,18 @@ class SimulationReport:
     by_component: tuple[tuple[dict, ...], ...]
 
 
-def _run_pure(protocol: Protocol, layout: Layout, amps: np.ndarray, prune: float) -> dict:
-    dims = layout.dims
+def _run_pure(protocol: Protocol, blocks: dict, amps: np.ndarray, prune: float) -> dict:
+    """Transcript distribution of one component given party-major (in any
+    shape); ``blocks[party]`` is (dimension of the parties before it, its own)."""
     branches = [((), amps)]
     for step in protocol.steps:
         grown = []
         for prefix, vec in branches:
             m = step.choose(prefix)
-            positions = layout.positions_of(m.party)
+            before, d = blocks[m.party]
+            view = vec.reshape(before, d, -1)
             for proj, outcome in zip(m.projectors, m.outcomes):
-                out = _apply_block(vec, dims, positions, proj)
+                out = (proj @ view).reshape(-1)
                 if np.vdot(out, out).real >= prune:
                     grown.append((prefix + ((m.party, outcome),), out))
         branches = grown
@@ -227,8 +223,11 @@ def run_exact(
     Each pure ordering of a hypothesis runs separately and the hypothesis's
     distribution is their average, so the per-ordering distributions used by
     the order-blindness check come out of the same pass; the dense mixed
-    state is never formed. Branches below ``prune`` are dropped as exactly
-    zero.
+    state is never formed. Every component is first regrouped party-major
+    (each party's factors adjacent, parties in layout order), which for the
+    stacked states of ``hypothesis_ensemble`` is already the case and costs
+    no copy; each measurement then acts on a reshaped view of the branch
+    vector. Branches below ``prune`` are dropped as exactly zero.
     """
     hypotheses = tuple(hypotheses)
     if not hypotheses:
@@ -237,13 +236,18 @@ def run_exact(
     for h in hypotheses[1:]:
         if h.layout != layout:
             raise ValueError("hypotheses must share the stacked layout")
-    _check_locality(protocol, layout)
+    check_locality(protocol, layout)
+    parties = layout.parties
+    order = [i for p in parties for i in layout.positions_of(p)]
+    sizes = [layout.party_dim(p) for p in parties]
+    blocks = {p: (math.prod(sizes[:i]), sizes[i]) for i, p in enumerate(parties)}
 
     distributions = []
     by_component = []
     for h in hypotheses:
         comp_dists = tuple(
-            _run_pure(protocol, layout, c.amplitudes, prune) for c in h.components
+            _run_pure(protocol, blocks, c.amplitudes.reshape(layout.dims).transpose(order), prune)
+            for c in h.components
         )
         merged: dict = {}
         for d in comp_dists:
@@ -364,12 +368,17 @@ def derive_classifier(report: SimulationReport, *, on_ambiguity: str = "error") 
 # builtin protocols
 
 
-def _bell_measurement(party: str) -> Measurement:
-    return basis_measurement(party, [bell(i) for i in range(1, 5)])
-
-
-def _ghz3_measurement(party: str) -> Measurement:
-    return basis_measurement(party, [ghz3(a) for a in range(1, 9)])
+def _tallied_two_step(
+    name: str, basis: StateSet, reference: StateSet, k: int, on_ambiguity: str = "error"
+) -> tuple[Protocol, Classifier]:
+    """Party A, then party B, measures its whole block along ``basis``; the
+    classifier is tallied from the exhaustive simulation of every k-subset
+    of ``reference``."""
+    protocol = Protocol(
+        name, tuple(ProtocolStep(basis_measurement(p, basis.states)) for p in ("A", "B"))
+    )
+    report = run_exact(protocol, hypothesis_ensemble(SubsetTask(reference, k)))
+    return protocol, derive_classifier(report, on_ambiguity=on_ambiguity)
 
 
 def builtin_bell32_variants(triple: Sequence[int] = (1, 2, 3)) -> tuple[Protocol, Classifier]:
@@ -390,98 +399,25 @@ def builtin_bell32_variants(triple: Sequence[int] = (1, 2, 3)) -> tuple[Protocol
     triple = tuple(sorted(triple))
     if len(triple) != 3 or len(set(triple)) != 3 or not all(1 <= i <= 4 for i in triple):
         raise ValueError(f"need three distinct Bell indices from 1..4, got {triple}")
-    protocol = Protocol(
-        "bell32",
-        (ProtocolStep(_bell_measurement("A")), ProtocolStep(_bell_measurement("B"))),
-    )
-    task = SubsetTask(named_states([f"B{i}" for i in triple]), 2)
-    report = run_exact(protocol, hypothesis_ensemble(task))
-    return protocol, derive_classifier(report)
-
-
-def _t43(a: int, b: int) -> Transcript:
-    return (("A", a), ("B", b))
-
-
-# Tally table for three distributed Bell states out of all four, with both
-# parties measuring their three-qubit blocks in the ghz3 basis. The tally is
-# NOT unambiguous: each transcript below is reached by two different
-# 3-subsets ({0,1,2} with {0,2,3}, and {0,1,3} with {1,2,3}, whose transcript
-# distributions coincide exactly), so the frozen table routes every
-# transcript to the earliest claimant and perfect identification fails.
-# Machine-tallied from the exhaustive simulation (48 reached transcripts,
-# each with probability 1/24 under each of its two claimants). It stays
-# frozen because deriving it in builtin_bell43 would re-run that simulation,
-# about half a bell43 simulate request, on every call; tests pin it to the
-# tally (tests/golden/bell43_classifier.txt and test_first_claimant_mode).
-_BELL43_TABLE: dict[Transcript, tuple[int, ...]] = {
-    _t43(1, 3): (0, 1, 3),
-    _t43(1, 4): (0, 1, 2),
-    _t43(1, 5): (0, 1, 3),
-    _t43(1, 6): (0, 1, 2),
-    _t43(1, 7): (0, 1, 3),
-    _t43(1, 8): (0, 1, 2),
-    _t43(2, 3): (0, 1, 2),
-    _t43(2, 4): (0, 1, 3),
-    _t43(2, 5): (0, 1, 2),
-    _t43(2, 6): (0, 1, 3),
-    _t43(2, 7): (0, 1, 2),
-    _t43(2, 8): (0, 1, 3),
-    _t43(3, 1): (0, 1, 3),
-    _t43(3, 2): (0, 1, 2),
-    _t43(3, 5): (0, 1, 3),
-    _t43(3, 6): (0, 1, 2),
-    _t43(3, 7): (0, 1, 3),
-    _t43(3, 8): (0, 1, 2),
-    _t43(4, 1): (0, 1, 2),
-    _t43(4, 2): (0, 1, 3),
-    _t43(4, 5): (0, 1, 2),
-    _t43(4, 6): (0, 1, 3),
-    _t43(4, 7): (0, 1, 2),
-    _t43(4, 8): (0, 1, 3),
-    _t43(5, 1): (0, 1, 3),
-    _t43(5, 2): (0, 1, 2),
-    _t43(5, 3): (0, 1, 3),
-    _t43(5, 4): (0, 1, 2),
-    _t43(5, 7): (0, 1, 3),
-    _t43(5, 8): (0, 1, 2),
-    _t43(6, 1): (0, 1, 2),
-    _t43(6, 2): (0, 1, 3),
-    _t43(6, 3): (0, 1, 2),
-    _t43(6, 4): (0, 1, 3),
-    _t43(6, 7): (0, 1, 2),
-    _t43(6, 8): (0, 1, 3),
-    _t43(7, 1): (0, 1, 3),
-    _t43(7, 2): (0, 1, 2),
-    _t43(7, 3): (0, 1, 3),
-    _t43(7, 4): (0, 1, 2),
-    _t43(7, 5): (0, 1, 3),
-    _t43(7, 6): (0, 1, 2),
-    _t43(8, 1): (0, 1, 2),
-    _t43(8, 2): (0, 1, 3),
-    _t43(8, 3): (0, 1, 2),
-    _t43(8, 4): (0, 1, 3),
-    _t43(8, 5): (0, 1, 2),
-    _t43(8, 6): (0, 1, 3),
-}
+    return _tallied_two_step("bell32", bell_basis(), named_states([f"B{i}" for i in triple]), 2)
 
 
 def builtin_bell43() -> tuple[Protocol, Classifier]:
     """Three-qubit GHZ-basis tally for three Bell states out of four.
 
     Both parties measure their three-qubit blocks in the ghz3 basis and
-    tally outcomes. Exhaustive simulation shows this scheme cannot work:
-    the two subset pairs named in the table comment produce identical
-    transcript distributions, and individual orderings of a subset are
-    distinguishable from one another, so both the identification and the
-    order-blindness verdicts come out false. The classifier ships anyway,
-    frozen with first-claimant resolution, so the failure is reproducible.
+    tally outcomes. The classifier is tallied, like bell32's, by exhaustive
+    simulation over the four 3-subsets of the Bell basis each time the
+    protocol is built. That simulation shows the scheme cannot work: the
+    subsets {0,1,2} and {0,2,3} produce identical transcript distributions,
+    as do {0,1,3} and {1,2,3}, so each of the 48 reached transcripts is
+    claimed by two subsets, at probability 1/24 under each; and individual
+    orderings of a subset are distinguishable from one another. Both the
+    identification and the order-blindness verdicts therefore come out
+    false. The classifier ships anyway, routing every transcript to its
+    first claimant, so the failure is reproducible.
     """
-    protocol = Protocol(
-        "bell43",
-        (ProtocolStep(_ghz3_measurement("A")), ProtocolStep(_ghz3_measurement("B"))),
-    )
-    return protocol, Classifier(dict(_BELL43_TABLE))
+    return _tallied_two_step("bell43", ghz3_basis(), bell_basis(), 3, on_ambiguity="first")
 
 
 #: builtin protocols addressable from scripts

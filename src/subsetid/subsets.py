@@ -53,6 +53,16 @@ def check_settings(tol: float, max_dim: int) -> None:
         raise SettingError(f"max_dim must be an integer of at least 1, got {max_dim!r}")
 
 
+def check_stacked_dim(state_set: StateSet, k: int, max_dim: int) -> None:
+    """Refuse k copies whose stacked dimension, (single-copy dim)**k, exceeds
+    ``max_dim``, before anything of that size is built."""
+    dim = state_set.layout.dim
+    if dim ** k > max_dim:
+        raise ResourceLimitError(
+            f"stacked dimension {dim}**{k} = {dim ** k} exceeds the guard of {max_dim}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class StateSet:
     """Ordered family of candidate states on a shared single-copy layout.
@@ -216,11 +226,7 @@ class SubsetTask:
         n = len(self.state_set)
         if not 1 <= self.k < n:
             raise ValueError(f"subset size k={self.k} must satisfy 1 <= k < n={n}")
-        if self.stacked_dim > self.max_dim:
-            raise ResourceLimitError(
-                f"stacked dimension {self.state_set.layout.dim}**{self.k} = "
-                f"{self.stacked_dim} exceeds the guard of {self.max_dim}"
-            )
+        check_stacked_dim(self.state_set, self.k, self.max_dim)
 
     @property
     def n(self) -> int:

@@ -115,6 +115,10 @@ class TestGoldenFiles:
         script = f"set g = {family}\ntask t = subset(g, k=2)\ncertify t cut all\n"
         assert render_structured(execute(script)) == golden_text(name)
 
+    def test_bell43_report(self):
+        script = "set b = bell_basis(2)\ntask t = subset(b, k=3)\nsimulate t protocol bell43\n"
+        assert render_structured(execute(script)) == golden_text("bell43_simulate.txt")
+
 
 class TestExecutionErrors:
     @pytest.mark.parametrize(
@@ -155,6 +159,16 @@ class TestExecutionErrors:
             execute(source)
         assert exc.value.line == line
         assert fragment in str(exc.value)
+
+    def test_protocol_checked_before_hypotheses_are_built(self, monkeypatch):
+        def refuse(task):
+            raise AssertionError("hypothesis_ensemble called before the locality check")
+
+        monkeypatch.setattr("subsetid.engine.hypothesis_ensemble", refuse)
+        with pytest.raises(ExecutionError) as exc:
+            execute("set e = ges_basis(8)\ntask t = subset(e, k=2)\nsimulate t protocol bell32\n")
+        assert exc.value.line == 3
+        assert "measurement acts on dimension 4 but party A holds dimension 64" in str(exc.value)
 
     def test_resource_guard_keeps_its_type(self):
         with pytest.raises(ResourceLimitError, match="line 2"):

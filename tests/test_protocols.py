@@ -8,6 +8,7 @@ from subsetid import (
     ATOL,
     Classifier,
     Measurement,
+    MixedHypothesis,
     Protocol,
     ProtocolStep,
     SubsetTask,
@@ -29,6 +30,7 @@ from subsetid import (
 from subsetid.acceptance import _EXPECTED_SUPPORT
 from subsetid.errors import AmbiguityError, CoverageError, LocalityError
 from subsetid.protocols import PRUNE_TOL
+from subsetid.statespace import permute_factors
 
 
 def bell32_report():
@@ -184,13 +186,26 @@ def random_runs(draw):
 def test_run_exact_matches_the_dense_reference(case):
     protocol, task = case
     assert validate(protocol).ok
-    report = run_exact(protocol, hypothesis_ensemble(task))
-    for h, dist, comps in zip(report.hypotheses, report.distributions, report.by_component):
-        dense = dense_distribution(protocol, h)
-        for t in set(dist) | set(dense):
-            assert dist.get(t, 0.0) == pytest.approx(dense.get(t, 0.0), abs=1e-12)
-        for d in comps:
-            assert sum(d.values()) == pytest.approx(1.0, abs=ATOL)
+    hypotheses = hypothesis_ensemble(task)
+    inputs = [hypotheses]
+    if task.k == 2:
+        # the same states with factors copy-major (A1 B1 A2 B2), which
+        # run_exact must regroup party-major before it measures
+        inputs.append([
+            MixedHypothesis(
+                h.subset_indices,
+                tuple(permute_factors(c, (0, 2, 1, 3)) for c in h.components),
+            )
+            for h in hypotheses
+        ])
+    for hyps in inputs:
+        report = run_exact(protocol, hyps)
+        for h, dist, comps in zip(report.hypotheses, report.distributions, report.by_component):
+            dense = dense_distribution(protocol, h)
+            for t in set(dist) | set(dense):
+                assert dist.get(t, 0.0) == pytest.approx(dense.get(t, 0.0), abs=1e-12)
+            for d in comps:
+                assert sum(d.values()) == pytest.approx(1.0, abs=ATOL)
 
 
 class TestIdentification:

@@ -11,15 +11,17 @@ A classifier turns transcripts into subset verdicts. The two builtin
 protocols cover the Bell-state tasks: ``bell32`` (paired Bell-basis
 measurements for two distributed Bell states out of three candidates) and
 ``bell43`` (three-qubit GHZ-basis measurements for three out of four). Both
-classifiers are tallied from an exhaustive simulation each time the
-protocol is built; neither is stored.
+classifiers are tallied from an exhaustive simulation the first time the
+protocol is built in a process; no table is written out in the source.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -121,6 +123,9 @@ class ProtocolStep:
     measurement: Measurement
     variants: Mapping[Transcript, Measurement] = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "variants", MappingProxyType(dict(self.variants)))
+
     def choose(self, prefix: Transcript) -> Measurement:
         return self.variants.get(prefix, self.measurement)
 
@@ -187,29 +192,83 @@ class SimulationReport:
     ``distributions[i]`` is the order-averaged distribution of hypothesis i;
     ``by_component[i][m]`` is the distribution when the states were handed
     out in the m-th ordering (aligned with ``hypotheses[i].orderings``).
+    ``pruned_mass[i]`` is the order-averaged probability that pruning
+    dropped under hypothesis i, so ``distributions[i]`` sums to one minus it.
     """
 
     hypotheses: tuple[MixedHypothesis, ...]
     distributions: tuple[dict, ...]
     by_component: tuple[tuple[dict, ...], ...]
+    pruned_mass: tuple[float, ...]
 
 
-def _run_pure(protocol: Protocol, blocks: dict, amps: np.ndarray, prune: float) -> dict:
-    """Transcript distribution of one component given party-major (in any
-    shape); ``blocks[party]`` is (dimension of the parties before it, its own)."""
-    branches = [((), amps)]
+@dataclass(frozen=True, eq=False)
+class _Factored:
+    """A measurement as isometries: ``projectors[o] == W[o] @ W[o]^†``.
+
+    ``adjoint`` stacks every ``W[o]^†`` (rows ``starts[o]`` up to
+    ``starts[o] + ranks[o]`` belong to outcome o).
+    """
+
+    adjoint: np.ndarray
+    isometries: tuple[np.ndarray, ...]
+    starts: np.ndarray
+    ranks: np.ndarray
+    rank_one: bool
+
+    @classmethod
+    def of(cls, m: Measurement) -> "_Factored":
+        isometries = []
+        for proj in m.projectors:
+            values, vectors = np.linalg.eigh(proj)
+            isometries.append(vectors[:, values > 0.5])
+        ranks = np.array([w.shape[1] for w in isometries])
+        starts = np.concatenate(([0], np.cumsum(ranks)[:-1]))
+        adjoint = np.concatenate([w.conj().T for w in isometries])
+        return cls(adjoint, tuple(isometries), starts, ranks, bool((ranks == 1).all()))
+
+    def masses(self, row_mass: np.ndarray) -> np.ndarray:
+        """Per-outcome mass from the mass of every row of ``adjoint``."""
+        if self.rank_one:
+            return row_mass
+        masses = np.zeros(len(self.ranks))
+        held = self.ranks > 0  # a zero projector passes validate and has rank 0
+        masses[held] = np.add.reduceat(row_mass, self.starts[held])
+        return masses
+
+
+def _run_pure(protocol: Protocol, axes: dict, factored: dict, amps: np.ndarray, prune: float):
+    """Transcript distribution of one component and the mass pruning dropped.
+
+    ``amps`` has one axis per party (party-major); ``axes[party]`` is the
+    party's axis. A branch carries its coordinates, per axis the isometry
+    its party was last measured in (None: not yet measured), and its mass.
+    """
+    pruned = 0.0
+    branches = [((), amps, (None,) * amps.ndim, 1.0)]
     for step in protocol.steps:
         grown = []
-        for prefix, vec in branches:
+        for prefix, vec, bases, _ in branches:
             m = step.choose(prefix)
-            before, d = blocks[m.party]
-            view = vec.reshape(before, d, -1)
-            for proj, outcome in zip(m.projectors, m.outcomes):
-                out = (proj @ view).reshape(-1)
-                if np.vdot(out, out).real >= prune:
-                    grown.append((prefix + ((m.party, outcome),), out))
+            f = factored[m]
+            ax = axes[m.party]
+            op = f.adjoint if bases[ax] is None else f.adjoint @ bases[ax]
+            shape = vec.shape
+            coeffs = op @ vec.reshape(math.prod(shape[:ax]), shape[ax], -1)
+            parts = coeffs.view(np.float64)  # real and imaginary parts side by side
+            for o, mass in enumerate(f.masses(np.einsum("irj,irj->r", parts, parts))):
+                if mass < prune:
+                    pruned += mass
+                    continue
+                s, r = f.starts[o], f.ranks[o]
+                grown.append((
+                    prefix + ((m.party, m.outcomes[o]),),
+                    coeffs[:, s:s + r, :].reshape(shape[:ax] + (r,) + shape[ax + 1:]),
+                    bases[:ax] + (f.isometries[o],) + bases[ax + 1:],
+                    float(mass),
+                ))
         branches = grown
-    return {prefix: float(np.vdot(vec, vec).real) for prefix, vec in branches}
+    return {prefix: mass for prefix, _, _, mass in branches}, float(pruned)
 
 
 def run_exact(
@@ -223,11 +282,26 @@ def run_exact(
     Each pure ordering of a hypothesis runs separately and the hypothesis's
     distribution is their average, so the per-ordering distributions used by
     the order-blindness check come out of the same pass; the dense mixed
-    state is never formed. Every component is first regrouped party-major
-    (each party's factors adjacent, parties in layout order), which for the
-    stacked states of ``hypothesis_ensemble`` is already the case and costs
-    no copy; each measurement then acts on a reshaped view of the branch
-    vector. Branches below ``prune`` are dropped as exactly zero.
+    state is never formed. Every component is first regrouped party-major,
+    one axis per party in layout order (for the stacked states of
+    ``hypothesis_ensemble`` this costs no copy). Outcomes below ``prune``
+    are dropped as exactly zero; their mass is reported in ``pruned_mass``.
+
+    Each projector is factored once per call, P_o = W_o W_o^†, with W_o the
+    eigenvectors of P_o whose eigenvalues exceed 1/2, and the W_o^† of a
+    measurement are stacked, so one matmul on the measured party's axis
+    yields the coordinates of every outcome at once. After outcome o the
+    branch keeps only its coordinates in range(W_o): that party's axis
+    shrinks from its dimension to rank(P_o), and a later measurement of the
+    same party acts there through W'^† W_o.
+
+    Soundness: W_o^† W_o = I, so ||P_o psi|| = ||W_o^† psi||; and a later
+    projector acts as P' W_o c = W' (W'^† W_o c), so by induction every
+    branch norm, hence every transcript probability, is the one the
+    projectors give on the full vector, up to rounding. That holds only
+    for projective measurements, so after the locality check (whose
+    LocalityError comes first) a protocol that fails :func:`validate` is
+    refused with ValueError naming the broken step.
     """
     hypotheses = tuple(hypotheses)
     if not hypotheses:
@@ -237,25 +311,39 @@ def run_exact(
         if h.layout != layout:
             raise ValueError("hypotheses must share the stacked layout")
     check_locality(protocol, layout)
+    checked = validate(protocol)
+    if not checked.ok:
+        raise ValueError(f"{checked.location}: {checked.message}")
+    factored = {
+        m: _Factored.of(m) for step in protocol.steps for _, m in step.all_measurements()
+    }
     parties = layout.parties
     order = [i for p in parties for i in layout.positions_of(p)]
-    sizes = [layout.party_dim(p) for p in parties]
-    blocks = {p: (math.prod(sizes[:i]), sizes[i]) for i, p in enumerate(parties)}
+    sizes = tuple(layout.party_dim(p) for p in parties)
+    axes = {p: i for i, p in enumerate(parties)}
 
     distributions = []
     by_component = []
+    pruned_mass = []
     for h in hypotheses:
-        comp_dists = tuple(
-            _run_pure(protocol, blocks, c.amplitudes.reshape(layout.dims).transpose(order), prune)
+        runs = [
+            _run_pure(
+                protocol, axes, factored,
+                c.amplitudes.reshape(layout.dims).transpose(order).reshape(sizes), prune,
+            )
             for c in h.components
-        )
+        ]
+        comp_dists = tuple(d for d, _ in runs)
         merged: dict = {}
         for d in comp_dists:
             for t, p in d.items():
                 merged[t] = merged.get(t, 0.0) + p / len(comp_dists)
         distributions.append(merged)
         by_component.append(comp_dists)
-    return SimulationReport(hypotheses, tuple(distributions), tuple(by_component))
+        pruned_mass.append(sum(p / len(runs) for _, p in runs))
+    return SimulationReport(
+        hypotheses, tuple(distributions), tuple(by_component), tuple(pruned_mass)
+    )
 
 
 @dataclass(frozen=True)
@@ -266,9 +354,16 @@ class Verdict:
 
 @dataclass(frozen=True, eq=False)
 class Classifier:
-    """Total-on-reached-transcripts map from transcript to subset indices."""
+    """Total-on-reached-transcripts map from transcript to subset indices.
+
+    The table is read-only, since the builtin classifiers are shared;
+    ``table.copy()`` gives a mutable dict.
+    """
 
     table: Mapping[Transcript, tuple[int, ...]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
     def __call__(self, t: Transcript) -> tuple[int, ...]:
         try:
@@ -394,28 +489,35 @@ def builtin_bell32_variants(triple: Sequence[int] = (1, 2, 3)) -> tuple[Protocol
     tallied by exhaustive simulation over that triple's three pair
     hypotheses, and construction fails with AmbiguityError if two pairs ever
     share a transcript; all four triples tally cleanly, each pair reaching
-    four transcripts at probability 1/4.
+    four transcripts at probability 1/4. Each triple is tallied once per
+    process; later calls return the same (immutable) objects.
     """
     triple = tuple(sorted(triple))
     if len(triple) != 3 or len(set(triple)) != 3 or not all(1 <= i <= 4 for i in triple):
         raise ValueError(f"need three distinct Bell indices from 1..4, got {triple}")
+    return _bell32(triple)
+
+
+@functools.cache
+def _bell32(triple: tuple[int, ...]) -> tuple[Protocol, Classifier]:
     return _tallied_two_step("bell32", bell_basis(), named_states([f"B{i}" for i in triple]), 2)
 
 
+@functools.cache
 def builtin_bell43() -> tuple[Protocol, Classifier]:
     """Three-qubit GHZ-basis tally for three Bell states out of four.
 
     Both parties measure their three-qubit blocks in the ghz3 basis and
     tally outcomes. The classifier is tallied, like bell32's, by exhaustive
-    simulation over the four 3-subsets of the Bell basis each time the
-    protocol is built. That simulation shows the scheme cannot work: the
-    subsets {0,1,2} and {0,2,3} produce identical transcript distributions,
-    as do {0,1,3} and {1,2,3}, so each of the 48 reached transcripts is
-    claimed by two subsets, at probability 1/24 under each; and individual
-    orderings of a subset are distinguishable from one another. Both the
-    identification and the order-blindness verdicts therefore come out
-    false. The classifier ships anyway, routing every transcript to its
-    first claimant, so the failure is reproducible.
+    simulation over the four 3-subsets of the Bell basis, once per process
+    (later calls return the same objects). That simulation shows the scheme
+    cannot work: the subsets {0,1,2} and {0,2,3} produce identical
+    transcript distributions, as do {0,1,3} and {1,2,3}, so each of the 48
+    reached transcripts is claimed by two subsets, at probability 1/24
+    under each; and individual orderings of a subset are distinguishable
+    from one another. Both the identification and the order-blindness
+    verdicts therefore come out false. The classifier ships anyway, routing
+    every transcript to its first claimant, so the failure is reproducible.
     """
     return _tallied_two_step("bell43", ghz3_basis(), bell_basis(), 3, on_ambiguity="first")
 

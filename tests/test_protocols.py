@@ -95,6 +95,17 @@ class TestMeasurement:
         assert good.first_violation() is None
 
 
+def broken_protocol():
+    """Step 2 measures one projector that does not sum to the identity."""
+    return Protocol(
+        "broken",
+        (
+            ProtocolStep(basis_measurement("A", np.eye(4))),
+            ProtocolStep(basis_measurement("B", [np.array([1, 0, 0, 0])])),
+        ),
+    )
+
+
 class TestValidate:
     def test_builtins_validate(self):
         for builder in (builtin_bell32_variants, builtin_bell43):
@@ -102,17 +113,15 @@ class TestValidate:
             assert validate(protocol).ok
 
     def test_locates_a_broken_step(self):
-        broken = Protocol(
-            "broken",
-            (
-                ProtocolStep(basis_measurement("A", np.eye(4))),
-                ProtocolStep(basis_measurement("B", [np.array([1, 0, 0, 0])])),
-            ),
-        )
-        report = validate(broken)
+        report = validate(broken_protocol())
         assert not report.ok
         assert report.location == "step 2 (party B)"
         assert "identity" in report.message
+
+    def test_run_exact_refuses_a_broken_step(self):
+        task = SubsetTask(bell_basis(), 2)
+        with pytest.raises(ValueError, match=r"^step 2 \(party B\): .*identity"):
+            run_exact(broken_protocol(), hypothesis_ensemble(task))
 
 
 class TestLocality:
@@ -127,6 +136,11 @@ class TestLocality:
         task = SubsetTask(ges_basis(3), 2)  # party blocks have dimension 9
         with pytest.raises(LocalityError, match="dimension 4"):
             run_exact(protocol, hypothesis_ensemble(task))
+
+    def test_locality_is_checked_before_validity(self):
+        task = SubsetTask(ges_basis(3), 2)
+        with pytest.raises(LocalityError, match="dimension 4"):
+            run_exact(broken_protocol(), hypothesis_ensemble(task))
 
 
 class TestRunExact:
@@ -144,6 +158,7 @@ class TestRunExact:
         task = SubsetTask(named_states(["B1", "B2", "B3"]), 2)
         report = run_exact(protocol, hypothesis_ensemble(task), prune=0.0)
         assert all(len(d) == 16 for d in report.distributions)
+        assert report.pruned_mass == (0.0, 0.0, 0.0)
         pruned = run_exact(protocol, hypothesis_ensemble(task))
         assert all(len(d) == 4 for d in pruned.distributions)
 
@@ -153,35 +168,52 @@ class TestRunExact:
             run_exact(protocol, [])
 
 
-def _random_basis(party, dim, rng):
+def _random_measurement(party, dim, outcomes, rng):
+    """A random-unitary basis coarse-grained into ``outcomes`` projectors,
+    so with fewer outcomes than vectors some projectors have rank >= 2."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(z)
-    return basis_measurement(party, q.T)
+    labels = rng.permutation(np.arange(dim) % outcomes)
+    return Measurement(
+        party, tuple(q[:, labels == o] @ q[:, labels == o].conj().T for o in range(outcomes))
+    )
 
 
 @st.composite
 def random_runs(draw):
     """A small Bell task (a pair or a triple, k in {1, 2}) and a valid random
-    protocol: one or two random-unitary basis measurements, the second
-    sometimes swapped on some outcomes of the first."""
+    protocol: one to three random-unitary measurements, some coarse-grained,
+    each later one sometimes swapped on some transcripts reached before it;
+    a party may measure more than once."""
     members = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3, unique=True))
     k = draw(st.integers(1, min(2, len(members) - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dim = 2 ** k
-    parties = draw(st.lists(st.sampled_from("AB"), min_size=1, max_size=2))
-    steps = [ProtocolStep(_random_basis(parties[0], dim, rng))]
-    if len(parties) == 2:
-        swapped = draw(st.sets(st.integers(1, dim)))
+
+    def measurement(party):
+        return _random_measurement(party, dim, draw(st.integers(1, dim)), rng)
+
+    steps = []
+    prefixes = [()]
+    for party in draw(st.lists(st.sampled_from("AB"), min_size=1, max_size=3)):
         variants = {
-            ((parties[0], o),): _random_basis(draw(st.sampled_from("AB")), dim, rng)
-            for o in sorted(swapped)
+            prefix: measurement(draw(st.sampled_from("AB")))
+            for prefix in prefixes
+            if prefix and draw(st.booleans())
         }
-        steps.append(ProtocolStep(_random_basis(parties[1], dim, rng), variants))
+        step = ProtocolStep(measurement(party), variants)
+        steps.append(step)
+        prefixes = [
+            prefix + ((m.party, o),)
+            for prefix in prefixes
+            for m in (step.choose(prefix),)
+            for o in m.outcomes
+        ]
     task = SubsetTask(named_states([f"B{i}" for i in members]), k)
     return Protocol("random", tuple(steps)), task
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(random_runs())
 def test_run_exact_matches_the_dense_reference(case):
     protocol, task = case
@@ -200,12 +232,24 @@ def test_run_exact_matches_the_dense_reference(case):
         ])
     for hyps in inputs:
         report = run_exact(protocol, hyps)
-        for h, dist, comps in zip(report.hypotheses, report.distributions, report.by_component):
+        for h, dist, comps, pruned in zip(
+            report.hypotheses, report.distributions, report.by_component, report.pruned_mass
+        ):
             dense = dense_distribution(protocol, h)
             for t in set(dist) | set(dense):
                 assert dist.get(t, 0.0) == pytest.approx(dense.get(t, 0.0), abs=1e-12)
+            assert sum(dist.values()) + pruned == pytest.approx(1.0, abs=1e-12)
             for d in comps:
                 assert sum(d.values()) == pytest.approx(1.0, abs=ATOL)
+        # pruning hard enough to drop real branches keeps the surviving
+        # leaves as they were and reports exactly the mass it dropped
+        coarse = run_exact(protocol, hyps, prune=0.05)
+        for dist, comps, fine_comps, pruned in zip(
+            coarse.distributions, coarse.by_component, report.by_component, coarse.pruned_mass
+        ):
+            assert sum(dist.values()) + pruned == pytest.approx(1.0, abs=1e-12)
+            for d, fine in zip(comps, fine_comps):
+                assert all(p == pytest.approx(fine[t], abs=1e-12) for t, p in d.items())
 
 
 class TestIdentification:
@@ -344,6 +388,23 @@ class TestVariantTriples:
     def test_bad_triples_rejected(self, bad):
         with pytest.raises(ValueError):
             builtin_bell32_variants(bad)
+
+
+class TestSharedBuiltins:
+    def test_built_once_per_process(self):
+        first = builtin_bell32_variants((3, 1, 2))
+        again = builtin_bell32_variants([1, 2, 3])
+        assert first[0] is again[0] and first[1] is again[1]
+        assert builtin_bell43()[1] is builtin_bell43()[1]
+
+    def test_shared_objects_are_read_only(self):
+        protocol, classifier = builtin_bell43()
+        with pytest.raises(TypeError):
+            classifier.table[(("A", 1),)] = (0, 1, 2)
+        with pytest.raises(TypeError):
+            protocol.steps[1].variants[(("A", 1),)] = protocol.steps[0].measurement
+        copied = classifier.table.copy()
+        assert isinstance(copied, dict) and copied == dict(classifier.table)
 
 
 def test_format_transcript():

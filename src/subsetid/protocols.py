@@ -123,9 +123,6 @@ class ProtocolStep:
     measurement: Measurement
     variants: Mapping[Transcript, Measurement] = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "variants", MappingProxyType(dict(self.variants)))
-
     def choose(self, prefix: Transcript) -> Measurement:
         return self.variants.get(prefix, self.measurement)
 
@@ -207,14 +204,15 @@ class _Factored:
     """A measurement as isometries: ``projectors[o] == W[o] @ W[o]^†``.
 
     ``adjoint`` stacks every ``W[o]^†`` (rows ``starts[o]`` up to
-    ``starts[o] + ranks[o]`` belong to outcome o).
+    ``starts[o] + ranks[o]`` belong to outcome o); ``summing`` maps the mass
+    of every row to the mass of its outcome (0 for a zero projector).
     """
 
     adjoint: np.ndarray
     isometries: tuple[np.ndarray, ...]
     starts: np.ndarray
     ranks: np.ndarray
-    rank_one: bool
+    summing: np.ndarray
 
     @classmethod
     def of(cls, m: Measurement) -> "_Factored":
@@ -225,16 +223,8 @@ class _Factored:
         ranks = np.array([w.shape[1] for w in isometries])
         starts = np.concatenate(([0], np.cumsum(ranks)[:-1]))
         adjoint = np.concatenate([w.conj().T for w in isometries])
-        return cls(adjoint, tuple(isometries), starts, ranks, bool((ranks == 1).all()))
-
-    def masses(self, row_mass: np.ndarray) -> np.ndarray:
-        """Per-outcome mass from the mass of every row of ``adjoint``."""
-        if self.rank_one:
-            return row_mass
-        masses = np.zeros(len(self.ranks))
-        held = self.ranks > 0  # a zero projector passes validate and has rank 0
-        masses[held] = np.add.reduceat(row_mass, self.starts[held])
-        return masses
+        summing = np.repeat(np.eye(len(ranks)), ranks, axis=0)
+        return cls(adjoint, tuple(isometries), starts, ranks, summing)
 
 
 def _run_pure(protocol: Protocol, axes: dict, factored: dict, amps: np.ndarray, prune: float):
@@ -254,9 +244,10 @@ def _run_pure(protocol: Protocol, axes: dict, factored: dict, amps: np.ndarray, 
             ax = axes[m.party]
             op = f.adjoint if bases[ax] is None else f.adjoint @ bases[ax]
             shape = vec.shape
-            coeffs = op @ vec.reshape(math.prod(shape[:ax]), shape[ax], -1)
+            # explicit sizes: an axis may have shrunk to a zero projector's rank 0
+            coeffs = op @ vec.reshape(math.prod(shape[:ax]), shape[ax], math.prod(shape[ax + 1:]))
             parts = coeffs.view(np.float64)  # real and imaginary parts side by side
-            for o, mass in enumerate(f.masses(np.einsum("irj,irj->r", parts, parts))):
+            for o, mass in enumerate(np.einsum("irj,irj->r", parts, parts) @ f.summing):
                 if mass < prune:
                     pruned += mass
                     continue
@@ -364,6 +355,10 @@ class Classifier:
 
     def __post_init__(self):
         object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+
+    def __reduce__(self):
+        # a mappingproxy neither pickles nor deep-copies; rebuild from a dict
+        return Classifier, (dict(self.table),)
 
     def __call__(self, t: Transcript) -> tuple[int, ...]:
         try:
@@ -490,7 +485,7 @@ def builtin_bell32_variants(triple: Sequence[int] = (1, 2, 3)) -> tuple[Protocol
     hypotheses, and construction fails with AmbiguityError if two pairs ever
     share a transcript; all four triples tally cleanly, each pair reaching
     four transcripts at probability 1/4. Each triple is tallied once per
-    process; later calls return the same (immutable) objects.
+    process; later calls return the same objects.
     """
     triple = tuple(sorted(triple))
     if len(triple) != 3 or len(set(triple)) != 3 or not all(1 <= i <= 4 for i in triple):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,7 +173,8 @@ class TestRunExact:
 
 def _random_measurement(party, dim, outcomes, rng):
     """A random-unitary basis coarse-grained into ``outcomes`` projectors,
-    so with fewer outcomes than vectors some projectors have rank >= 2."""
+    so with fewer outcomes than vectors some projectors have rank >= 2, and
+    with more (``dim + 1``) the last projector is zero."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(z)
     labels = rng.permutation(np.arange(dim) % outcomes)
@@ -182,16 +186,16 @@ def _random_measurement(party, dim, outcomes, rng):
 @st.composite
 def random_runs(draw):
     """A small Bell task (a pair or a triple, k in {1, 2}) and a valid random
-    protocol: one to three random-unitary measurements, some coarse-grained,
-    each later one sometimes swapped on some transcripts reached before it;
-    a party may measure more than once."""
+    protocol: one to three random-unitary measurements, some coarse-grained
+    or with a zero projector, each later one sometimes swapped on some
+    transcripts reached before it; a party may measure more than once."""
     members = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3, unique=True))
     k = draw(st.integers(1, min(2, len(members) - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dim = 2 ** k
 
     def measurement(party):
-        return _random_measurement(party, dim, draw(st.integers(1, dim)), rng)
+        return _random_measurement(party, dim, draw(st.integers(1, dim + 1)), rng)
 
     steps = []
     prefixes = [()]
@@ -250,6 +254,13 @@ def test_run_exact_matches_the_dense_reference(case):
             assert sum(dist.values()) + pruned == pytest.approx(1.0, abs=1e-12)
             for d, fine in zip(comps, fine_comps):
                 assert all(p == pytest.approx(fine[t], abs=1e-12) for t, p in d.items())
+        # without pruning every branch is kept, a zero projector's included
+        full = run_exact(protocol, hyps, prune=0.0)
+        for h, dist, pruned in zip(full.hypotheses, full.distributions, full.pruned_mass):
+            dense = dense_distribution(protocol, h, prune=0.0)
+            for t in set(dist) | set(dense):
+                assert dist.get(t, 0.0) == pytest.approx(dense.get(t, 0.0), abs=1e-12)
+            assert pruned == 0.0
 
 
 class TestIdentification:
@@ -397,14 +408,14 @@ class TestSharedBuiltins:
         assert first[0] is again[0] and first[1] is again[1]
         assert builtin_bell43()[1] is builtin_bell43()[1]
 
-    def test_shared_objects_are_read_only(self):
-        protocol, classifier = builtin_bell43()
+    def test_shared_classifier_is_read_only(self):
+        _, classifier = builtin_bell43()
         with pytest.raises(TypeError):
             classifier.table[(("A", 1),)] = (0, 1, 2)
-        with pytest.raises(TypeError):
-            protocol.steps[1].variants[(("A", 1),)] = protocol.steps[0].measurement
         copied = classifier.table.copy()
         assert isinstance(copied, dict) and copied == dict(classifier.table)
+        for twin in (pickle.loads(pickle.dumps(classifier)), copy.deepcopy(classifier)):
+            assert twin is not classifier and dict(twin.table) == copied
 
 
 def test_format_transcript():

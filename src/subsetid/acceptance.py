@@ -50,7 +50,7 @@ from .protocols import (
     run_exact,
 )
 from .script import parse, serialize
-from .statespace import ATOL, Cut, is_maximally_entangled, regroup, regroup_coefficients
+from .statespace import ATOL, Cut, cut_matrix, is_maximally_entangled, regroup_coefficients
 from .subsets import DEFAULT_MAX_DIM, SubsetTask, hypothesis_ensemble, stacked_state
 
 ATOL_SUPPORT = 1e-12
@@ -211,10 +211,7 @@ def check_basis_pair_family():
 
 def _connection_residual(src, dst, cut) -> float:
     u = connecting_unitary(src, dst, cut)
-    dl, dr = cut.side_dims(src.layout)
-    m_src = regroup(src, cut).amplitudes.reshape(dl, dr)
-    m_dst = regroup(dst, cut).amplitudes.reshape(dl, dr)
-    return float(np.linalg.norm(m_src @ u.T - m_dst))
+    return float(np.linalg.norm(cut_matrix(src, cut) @ u.T - cut_matrix(dst, cut)))
 
 
 def check_connecting_unitaries():

@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .families import ges_basis
-from .statespace import ATOL, Cut, _vector_reduction, is_maximally_entangled
+from .statespace import ATOL, Cut, cut_matrix, is_maximally_entangled
 from .subsets import (
     DEFAULT_MAX_DIM,
     StateSet,
@@ -206,11 +206,9 @@ def orthogonal_hypotheses(state_set: StateSet, k: int, tol: float) -> bool:
     )
 
 
-def _reductions_agree(state_set: StateSet, positions: tuple[int, ...], tol: float) -> bool:
-    """Do all members have the same reduced operator on the given factors?"""
-    keep = sorted(positions)
-    dims = state_set.layout.dims
-    mats = [_vector_reduction(s.amplitudes, dims, keep) for s in state_set.states]
+def _reductions_agree(state_set: StateSet, side: Cut, tol: float) -> bool:
+    """Do all members have the same reduced operator on the cut's left side?"""
+    mats = [m @ m.conj().T for m in (cut_matrix(s, side) for s in state_set.states)]
     for a, b in itertools.combinations(mats, 2):
         if np.max(np.abs(a - b)) > tol:
             return False
@@ -244,7 +242,7 @@ def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) 
     right_stacked = math.prod(dims[i] for i in rpos) ** k
     unitary_side = "left" if left_stacked > right_stacked else "right"
     bound = max(left_stacked, right_stacked)
-    identity_positions = rpos if unitary_side == "left" else lpos
+    identity_side = Cut(cut.right, cut.left) if unitary_side == "left" else cut
 
     premises: dict[str, bool] = {}
     premises["pairwise-orthogonal-hypotheses"] = orthogonal
@@ -255,7 +253,7 @@ def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) 
     else:
         axiom = AXIOM_ONE_SIDED
         premises["equal-identity-side-reductions"] = _reductions_agree(
-            state_set, identity_positions, tol
+            state_set, identity_side, tol
         )
 
     kappa = math.comb(len(state_set), k)

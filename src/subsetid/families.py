@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import NoConnectingUnitaryError
-from .statespace import ATOL, Cut, Factor, Layout, StateVector, qubit_layout
+from .statespace import ATOL, Cut, Factor, Layout, StateVector, cut_matrix, qubit_layout
 from .subsets import StateSet
 
 _BELL_KETS = ((0, 3, 1.0), (0, 3, -1.0), (1, 2, 1.0), (1, 2, -1.0))
@@ -207,12 +207,9 @@ def connecting_unitary(src: StateVector, dst: StateVector, cut: Cut, tol: float 
     """
     if src.layout != dst.layout:
         raise ValueError("connecting_unitary requires a common layout")
-    lpos, rpos = cut.positions(src.layout)
-    dims = src.layout.dims
-    dl = math.prod(dims[i] for i in lpos)
-    dr = math.prod(dims[i] for i in rpos)
-    m_src = src.amplitudes.reshape(dims).transpose(lpos + rpos).reshape(dl, dr)
-    m_dst = dst.amplitudes.reshape(dims).transpose(lpos + rpos).reshape(dl, dr)
+    m_src = cut_matrix(src, cut)
+    m_dst = cut_matrix(dst, cut)
+    dr = m_src.shape[1]
     deviation = float(np.max(np.abs(m_src @ m_src.conj().T - m_dst @ m_dst.conj().T)))
     if deviation > tol:
         raise NoConnectingUnitaryError(

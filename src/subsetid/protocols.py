@@ -191,6 +191,9 @@ class SimulationReport:
     out in the m-th ordering (aligned with ``hypotheses[i].orderings``).
     ``pruned_mass[i]`` is the order-averaged probability that pruning
     dropped under hypothesis i, so ``distributions[i]`` sums to one minus it.
+    Pruning acts on each ordering's branches separately, so
+    ``distributions[i]`` is the average of the pruned per-ordering
+    distributions, not the mixed state's distribution pruned at that level.
     """
 
     hypotheses: tuple[MixedHypothesis, ...]
@@ -277,6 +280,10 @@ def run_exact(
     one axis per party in layout order (for the stacked states of
     ``hypothesis_ensemble`` this costs no copy). Outcomes below ``prune``
     are dropped as exactly zero; their mass is reported in ``pruned_mass``.
+    The threshold applies to each ordering's branches, not to the mixed
+    state's: a branch pruned under some orderings keeps only the others'
+    share of the average. Either way every transcript's probability moves
+    by less than ``prune``, so at the default the two agree within 1e-12.
 
     Each projector is factored once per call, P_o = W_o W_o^†, with W_o the
     eigenvectors of P_o whose eigenvalues exceed 1/2, and the W_o^† of a

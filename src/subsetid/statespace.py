@@ -8,6 +8,12 @@ mixed-radix digit, so ``|x1 x2 ... xn>`` reads exactly like the printed ket.
 Copies matter because identification tasks stack several states from one
 family: party A holds the A half of every copy, and the stacked layout
 groups factors party-major, copy-minor (A1 A2 ... B1 B2 ...).
+
+Every statement about a bipartition (reductions, Schmidt coefficients,
+one-sided unitaries) is read off :func:`cut_matrix`, the amplitudes as a
+matrix M across the cut: M M^dagger is the left-side reduction. No dense
+mixed state or partial trace is formed here; those live under ``tests/`` as
+the references the engine's fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -113,38 +119,6 @@ class StateVector:
     def dim(self) -> int:
         return self.layout.dim
 
-    def overlap(self, other: "StateVector") -> complex:
-        """<self|other> for two states on the same layout."""
-        if self.layout != other.layout:
-            raise ValueError("overlap requires a common layout")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace operator on a layout."""
-
-    layout: Layout
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        d = self.layout.dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match layout dimension {d}")
-        if np.max(np.abs(m - m.conj().T)) > ATOL:
-            raise ValueError("density operator is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > ATOL:
-            raise ValueError(f"density operator trace is {np.trace(m)!r}, expected 1")
-        if np.linalg.eigvalsh(m)[0] < -ATOL:
-            raise ValueError("density operator has a negative eigenvalue")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -181,14 +155,6 @@ class Cut:
         lpos = tuple(i for i, f in enumerate(layout.factors) if f.party in self.left)
         rpos = tuple(i for i, f in enumerate(layout.factors) if f.party in self.right)
         return lpos, rpos
-
-    def side_dims(self, layout: Layout) -> tuple[int, int]:
-        lpos, rpos = self.positions(layout)
-        dims = layout.dims
-        return (
-            math.prod(dims[i] for i in lpos),
-            math.prod(dims[i] for i in rpos),
-        )
 
     def label(self, layout: Layout) -> str:
         """Human-readable form such as ``A:BC``, party order from the layout."""
@@ -231,89 +197,29 @@ def permute_factors(s: StateVector, order: Sequence[int]) -> StateVector:
     return StateVector(layout, np.ascontiguousarray(t).reshape(-1))
 
 
-def regroup(s: StateVector, cut: Cut) -> StateVector:
-    """Permute factors cut-side-major: all left-side factors, then right."""
-    lpos, rpos = cut.positions(s.layout)
-    return permute_factors(s, lpos + rpos)
+def cut_matrix(s: StateVector, cut: Cut) -> np.ndarray:
+    """The amplitudes as a (left dim, right dim) matrix across the cut.
 
-
-def projector(s: StateVector) -> DensityOperator:
-    return DensityOperator(s.layout, np.outer(s.amplitudes, s.amplitudes.conj()))
-
-
-def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    """Trace out every factor not listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : DensityOperator
-    keep : iterable of int
-        Factor positions to retain; treated as a set, the surviving factors
-        keep their layout order.
+    Rows run over the left side's factors and columns over the right's,
+    each side in layout order, so M M^dagger is the reduction onto the left
+    side and the singular values of M are the Schmidt coefficients.
     """
-    keep_set = set(keep)
-    n = len(rho.layout.factors)
-    if not keep_set:
-        raise ValueError("keep must name at least one factor")
-    if not keep_set <= set(range(n)):
-        raise ValueError(f"keep {sorted(keep_set)} outside factor range 0..{n - 1}")
-    dims = rho.layout.dims
-    t = rho.matrix.reshape(dims + dims)
-    row = list(range(n))
-    col = [i if i not in keep_set else n + i for i in range(n)]
-    kept = sorted(keep_set)
-    out = [i for i in kept] + [n + i for i in kept]
-    reduced = np.einsum(t, row + col, out)
-    d_kept = math.prod(dims[i] for i in kept)
-    layout = Layout(tuple(rho.layout.factors[i] for i in kept))
-    return DensityOperator(layout, reduced.reshape(d_kept, d_kept))
-
-
-def _vector_reduction(amps: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state, without object overhead."""
-    n = len(dims)
-    rest = [i for i in range(n) if i not in keep]
-    m = amps.reshape(dims).transpose(list(keep) + rest)
-    m = m.reshape(math.prod(dims[i] for i in keep), -1)
-    return m @ m.conj().T
-
-
-def reduced_state(s: StateVector, keep: Iterable[int]) -> DensityOperator:
-    """Reduction of a pure state onto the kept factors."""
-    keep_sorted = sorted(set(keep))
-    mat = _vector_reduction(s.amplitudes, s.layout.dims, keep_sorted)
-    return DensityOperator(Layout(tuple(s.layout.factors[i] for i in keep_sorted)), mat)
-
-
-def schmidt_coefficients(s: StateVector, cut: Cut) -> np.ndarray:
-    """Singular values of the state reshaped across the cut, descending."""
     lpos, rpos = cut.positions(s.layout)
     dims = s.layout.dims
     m = s.amplitudes.reshape(dims).transpose(lpos + rpos)
-    m = m.reshape(math.prod(dims[i] for i in lpos), -1)
-    return np.linalg.svd(m, compute_uv=False)
+    return m.reshape(math.prod(dims[i] for i in lpos), -1)
+
+
+def schmidt_coefficients(s: StateVector, cut: Cut) -> np.ndarray:
+    """Singular values of the state's cut matrix, descending."""
+    return np.linalg.svd(cut_matrix(s, cut), compute_uv=False)
 
 
 def is_maximally_entangled(s: StateVector, cut: Cut, tol: float = ATOL) -> bool:
     """True when all Schmidt coefficients equal 1/sqrt(min side dimension)."""
     coeffs = schmidt_coefficients(s, cut)
-    target = 1.0 / math.sqrt(min(cut.side_dims(s.layout)))
+    target = 1.0 / math.sqrt(coeffs.size)
     return bool(np.max(np.abs(coeffs - target)) <= tol)
-
-
-def support_basis(rho: DensityOperator, tol: float = ATOL) -> list[StateVector]:
-    """Orthonormal eigenvectors spanning the support of ``rho``.
-
-    Eigenvectors with eigenvalue above ``tol`` are returned in descending
-    eigenvalue order. Individual vector phases follow the eigensolver; when
-    comparing supports, compare the projectors they span, not the vectors.
-    """
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    out = []
-    for i in range(len(vals) - 1, -1, -1):
-        if vals[i] > tol:
-            out.append(StateVector(rho.layout, vecs[:, i]))
-    return out
 
 
 def regroup_coefficients(
@@ -325,24 +231,18 @@ def regroup_coefficients(
 ) -> np.ndarray:
     """Expansion coefficients of a state in a product of cut-side bases.
 
-    The state is regrouped cut-side-major and expanded as
-    ``sum_ab c[a, b] |left_a>|right_b>``. Both bases must be orthonormal
-    families (checked within ``tol``) and must jointly resolve the state:
-    the coefficient matrix carries the full norm or a ValueError is raised.
-
-    Basis elements may be plain amplitude vectors or StateVectors; only
-    their amplitudes are consulted, so a Bell state built on single-copy
-    factors can serve as a basis vector for a stacked two-qubit side.
+    The state's cut matrix is expanded as
+    ``sum_ab c[a, b] |left_a>|right_b>``. Basis elements are plain amplitude
+    vectors of their side's dimension, so a Bell state's amplitudes can serve
+    as a basis vector for a stacked two-qubit side. Both bases must be
+    orthonormal families (checked within ``tol``) and must jointly resolve
+    the state: the coefficient matrix carries the full norm or a ValueError
+    is raised.
     """
-    lpos, rpos = cut.positions(s.layout)
-    dims = s.layout.dims
-    dl = math.prod(dims[i] for i in lpos)
-    m = s.amplitudes.reshape(dims).transpose(lpos + rpos).reshape(dl, -1)
+    m = cut_matrix(s, cut)
 
     def as_rows(basis, side_dim, which):
-        rows = np.array(
-            [b.amplitudes if isinstance(b, StateVector) else np.asarray(b, dtype=np.complex128) for b in basis]
-        )
+        rows = np.array(basis, dtype=np.complex128)
         if rows.ndim != 2 or rows.shape[1] != side_dim:
             raise ValueError(f"{which} basis vectors must have length {side_dim}")
         gram = rows.conj() @ rows.T

@@ -24,19 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, SettingError
-from .statespace import (
-    ATOL,
-    DensityOperator,
-    StateVector,
-    permute_factors,
-    tensor,
-    with_copy,
-)
+from .statespace import ATOL, StateVector, permute_factors, tensor, with_copy
 
 #: largest stacked vector dimension a task will accept by default
 DEFAULT_MAX_DIM = 2 ** 16
-#: largest dimension for which a dense hypothesis matrix may be materialized
-DENSE_RHO_LIMIT = 4096
 
 
 def check_settings(tol: float, max_dim: int) -> None:
@@ -153,7 +144,7 @@ def orderings(subset: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def stacked_state(state_set: StateSet, ordering: Sequence[int]) -> StateVector:
-    """Tensor the listed states and regroup factors party-major.
+    """Tensor the listed states and reorder the factors party-major.
 
     Copy t of the product (1-based) is the state ``ordering[t-1]``; the
     result's factor order is A-copies first, then B-copies, and so on, so
@@ -181,8 +172,8 @@ class MixedHypothesis:
     """One candidate subset together with its order-averaged mixed state.
 
     The pure components are the stacked states of all k! orderings, aligned
-    with :func:`orderings`; the dense matrix is built lazily because only
-    small instances ever need it.
+    with :func:`orderings`; the mixed state is their uniform mixture and is
+    never formed as a matrix.
     """
 
     subset_indices: tuple[int, ...]
@@ -195,19 +186,6 @@ class MixedHypothesis:
     @property
     def orderings(self) -> tuple[tuple[int, ...], ...]:
         return orderings(self.subset_indices)
-
-    @cached_property
-    def rho(self) -> DensityOperator:
-        dim = self.layout.dim
-        if dim > DENSE_RHO_LIMIT:
-            raise ResourceLimitError(
-                f"dense hypothesis matrix would be {dim}x{dim}; "
-                f"limit is {DENSE_RHO_LIMIT}"
-            )
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        for c in self.components:
-            m += np.outer(c.amplitudes, c.amplitudes.conj())
-        return DensityOperator(self.layout, m / len(self.components))
 
 
 @dataclass(frozen=True, eq=False)

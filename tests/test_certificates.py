@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_rho
 from subsetid import (
     CERTIFIED,
     CONDITION_FAILS,
@@ -23,6 +24,7 @@ from subsetid import (
     execute,
     ges_basis,
     ghz3_basis,
+    ghz4_basis,
     hypothesis_ensemble,
     max_hypothesis_overlap,
     named_states,
@@ -58,7 +60,7 @@ def test_orthogonal_family_has_no_overlap():
 def test_overlap_matches_the_literal_trace():
     state_set = doctored_set()
     task = SubsetTask(state_set, 2)
-    rhos = [h.rho.matrix for h in hypothesis_ensemble(task)]
+    rhos = [dense_rho(h) for h in hypothesis_ensemble(task)]
     literal = max(
         float(np.trace(a @ b).real) for a, b in itertools.combinations(rhos, 2)
     )
@@ -99,6 +101,26 @@ def test_unitary_side_follows_the_larger_side():
     assert cert.bound == 16
     assert cert.axiom == AXIOM_ONE_SIDED
     assert cert.verdict == CERTIFIED  # 28 > 16 with equal A-side reductions
+
+
+@pytest.mark.parametrize(
+    "state_set",
+    [ghz3_basis(), ghz4_basis(), doctored_set()],
+    ids=["ghz3", "ghz4", "doctored"],
+)
+def test_swapping_cut_sides_keeps_the_certificate(state_set):
+    # on unequal sides the swap moves the identity side between certify_cut's
+    # left and right branches; on equal sides (ghz4's 2:2 cuts, AC:BD
+    # included, and the doctored A:B) ties go right, so the swap compares
+    # the reductions of the other side
+    for cut in all_bipartitions(state_set.parties):
+        a, b = (
+            certify_cut(CertificateRequest(state_set, 2, c))
+            for c in (cut, Cut(cut.right, cut.left))
+        )
+        assert (a.kappa, a.bound, a.axiom, a.premises, a.verdict) == (
+            b.kappa, b.bound, b.axiom, b.premises, b.verdict,
+        ), cut.label(state_set.layout)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +268,7 @@ def test_scan_visits_every_pair_in_any_chunking(case):
 
 def test_scan_matches_the_literal_trace_at_three_copies():
     state_set = doctored_set()
-    rhos = [h.rho.matrix for h in hypothesis_ensemble(SubsetTask(state_set, 3))]
+    rhos = [dense_rho(h) for h in hypothesis_ensemble(SubsetTask(state_set, 3))]
     literal = max(
         float(np.trace(a @ b).real) for a, b in itertools.combinations(rhos, 2)
     )

@@ -6,22 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dense_reference import partial_trace
 from subsetid import (
     Cut,
-    DensityOperator,
     Factor,
     Layout,
     StateVector,
+    all_bipartitions,
+    cut_matrix,
+    ghz3_basis,
+    ghz4_basis,
     is_maximally_entangled,
-    partial_trace,
     qubit_layout,
-    reduced_state,
-    regroup,
     regroup_coefficients,
     schmidt_coefficients,
     tensor,
 )
-from subsetid.statespace import permute_factors, projector, support_basis, with_copy
+from subsetid.statespace import permute_factors, with_copy
 
 SQ2 = 1.0 / math.sqrt(2)
 
@@ -72,30 +73,6 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.5
 
-    def test_overlap(self):
-        b1 = bell_like(1, 0, 0, 1)
-        b2 = bell_like(1, 0, 0, -1)
-        assert b1.overlap(b2) == pytest.approx(0)
-        assert b1.overlap(b1) == pytest.approx(1)
-        with pytest.raises(ValueError, match="common layout"):
-            b1.overlap(StateVector(qubit_layout("A", "C"), b1.amplitudes))
-
-
-class TestDensityOperator:
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.5, 0.5], [0.0, 0.5]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityOperator(Layout((Factor("A", 1, 2),)), m)
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityOperator(Layout((Factor("A", 1, 2),)), np.eye(2))
-
-    def test_rejects_negative_eigenvalue(self):
-        m = np.array([[1.5, 0], [0, -0.5]])
-        with pytest.raises(ValueError, match="negative"):
-            DensityOperator(Layout((Factor("A", 1, 2),)), m)
-
 
 def test_tensor_keeps_factor_order():
     b1 = bell_like(1, 0, 0, 1)
@@ -119,39 +96,22 @@ def test_permute_factors_convention():
         permute_factors(ab, (0, 0))
 
 
-def test_regroup_party_major():
-    b1 = bell_like(1, 0, 0, 1)
-    stacked = tensor(with_copy(b1, 1), with_copy(b1, 2))  # A1 B1 A2 B2
-    grouped = regroup(stacked, Cut.between("A", "B"))
-    assert [(f.party, f.copy) for f in grouped.layout.factors] == [
-        ("A", 1), ("A", 2), ("B", 1), ("B", 2),
-    ]
-    # regrouped Bell pair: sum_{ij} |ij>_A |ij>_B / 2
-    expected = np.zeros(16)
-    for i in range(2):
-        for j in range(2):
-            expected[(2 * i + j) * 4 + 2 * i + j] = 0.5
-    assert_allclose(grouped.amplitudes, expected, atol=1e-15)
+class TestCutMatrix:
+    def test_rows_and_columns_group_each_side(self):
+        b1 = bell_like(1, 0, 0, 1)
+        stacked = tensor(with_copy(b1, 1), with_copy(b1, 2))  # A1 B1 A2 B2
+        m = cut_matrix(stacked, Cut.between("A", "B"))
+        # rows run over A1 A2, columns over B1 B2: sum_{ij} |ij>_A |ij>_B / 2
+        assert_allclose(m, np.eye(4) / 2, atol=1e-15)
 
-
-class TestReductions:
     def test_bell_reduction_is_maximally_mixed(self):
-        b1 = bell_like(1, 0, 0, 1)
-        rho = reduced_state(b1, keep=[0])
-        assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-15)
+        m = cut_matrix(bell_like(1, 0, 0, 1), Cut.between("A", "B"))
+        assert_allclose(m @ m.conj().T, np.eye(2) / 2, atol=1e-15)
 
-    def test_partial_trace_matches_vector_route(self):
-        b3 = bell_like(0, 1, 1, 0)
-        via_rho = partial_trace(projector(b3), keep=[1])
-        via_vec = reduced_state(b3, keep=[1])
-        assert_allclose(via_rho.matrix, via_vec.matrix, atol=1e-15)
-
-    def test_keep_must_be_valid(self):
+    def test_cut_must_bipartition_the_layout(self):
         b1 = bell_like(1, 0, 0, 1)
-        with pytest.raises(ValueError):
-            reduced_state(b1, keep=[])
-        with pytest.raises(ValueError):
-            reduced_state(b1, keep=[5])
+        with pytest.raises(ValueError, match="bipartition"):
+            cut_matrix(b1, Cut.between("A", "C"))
 
 
 def test_schmidt_and_mes():
@@ -161,17 +121,6 @@ def test_schmidt_and_mes():
     assert is_maximally_entangled(b2, cut)
     product = StateVector(qubit_layout("A", "B"), [1, 0, 0, 0])
     assert not is_maximally_entangled(product, cut)
-
-
-def test_support_basis_spans_the_mixture():
-    b1, b2 = bell_like(1, 0, 0, 1), bell_like(1, 0, 0, -1)
-    rho = DensityOperator(
-        b1.layout, (projector(b1).matrix + projector(b2).matrix) / 2
-    )
-    basis = support_basis(rho)
-    assert len(basis) == 2
-    span = sum(np.outer(s.amplitudes, s.amplitudes.conj()) for s in basis)
-    assert_allclose(span, projector(b1).matrix + projector(b2).matrix, atol=1e-12)
 
 
 class TestCut:
@@ -190,7 +139,8 @@ class TestCut:
         layout = qubit_layout("A", "B", "C")
         cut = Cut.between("C", "AB")
         assert cut.label(layout) == "C:AB"
-        assert cut.side_dims(layout) == (2, 4)
+        product = StateVector(layout, np.eye(8)[0])
+        assert cut_matrix(product, cut).shape == (2, 4)
 
 
 class TestRegroupCoefficients:
@@ -232,15 +182,18 @@ amplitude = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
 @st.composite
-def random_two_qubit_state(draw):
-    re = draw(st.lists(amplitude, min_size=4, max_size=4))
-    im = draw(st.lists(amplitude, min_size=4, max_size=4))
+def random_state(draw, layout):
+    n = layout.dim
+    re = draw(st.lists(amplitude, min_size=n, max_size=n))
+    im = draw(st.lists(amplitude, min_size=n, max_size=n))
     v = np.array(re) + 1j * np.array(im)
-    norm = np.linalg.norm(v)
-    if norm < 1e-3:
-        v = np.array([1.0, 0, 0, 0])
-        norm = 1.0
-    return StateVector(qubit_layout("A", "B"), v / norm)
+    if np.linalg.norm(v) < 1e-3:
+        v = np.eye(n)[0]
+    return StateVector(layout, v / np.linalg.norm(v))
+
+
+def random_two_qubit_state():
+    return random_state(qubit_layout("A", "B"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,17 +204,42 @@ def test_schmidt_coefficients_carry_the_norm(s):
     assert np.sum(coeffs**2) == pytest.approx(1.0, abs=1e-9)
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_two_qubit_state())
-def test_reductions_are_valid_states(s):
-    rho = reduced_state(s, keep=[0])
-    assert_allclose(rho.matrix, rho.matrix.conj().T, atol=1e-12)
-    assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-9)
-    assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-12
+@st.composite
+def random_three_party_state(draw):
+    dims = draw(st.lists(st.integers(2, 3), min_size=3, max_size=3))
+    return draw(random_state(Layout(tuple(Factor(p, 1, d) for p, d in zip("ABC", dims)))))
+
+
+def check_reductions_against_the_dense_trace(s):
+    """M M^dagger on every cut, both ways round, is the partial trace of
+    |s><s| onto the left side, and a valid state."""
+    rho = np.outer(s.amplitudes, s.amplitudes.conj())
+    for cut in all_bipartitions(s.layout.parties):
+        for side in (cut, Cut(cut.right, cut.left)):
+            m = cut_matrix(s, side)
+            reduced = m @ m.conj().T
+            lpos, _ = side.positions(s.layout)
+            assert_allclose(reduced, partial_trace(rho, s.layout.dims, lpos), atol=1e-12)
+            assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.eigvalsh(reduced)[0] >= -1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_three_party_state())
+def test_cut_matrix_gives_the_dense_reduction(s):
+    check_reductions_against_the_dense_trace(s)
+
+
+@pytest.mark.parametrize("family", [ghz3_basis, ghz4_basis])
+def test_cut_matrix_gives_the_dense_reduction_on_every_member(family):
+    for s in family().states:
+        check_reductions_against_the_dense_trace(s)
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_two_qubit_state(), random_two_qubit_state())
 def test_overlap_invariant_under_permutation(a, b):
     pa, pb = permute_factors(a, (1, 0)), permute_factors(b, (1, 0))
-    assert pa.overlap(pb) == pytest.approx(a.overlap(b), abs=1e-12)
+    assert np.vdot(pa.amplitudes, pb.amplitudes) == pytest.approx(
+        np.vdot(a.amplitudes, b.amplitudes), abs=1e-12
+    )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dense_reference import dense_rho
 from subsetid import (
     MixedHypothesis,
     StateSet,
@@ -20,7 +21,7 @@ from subsetid import (
     stacked_state,
 )
 from subsetid.errors import ResourceLimitError
-from subsetid.statespace import StateVector, projector, qubit_layout
+from subsetid.statespace import StateVector, qubit_layout
 
 
 def test_enumerate_subsets_order():
@@ -89,23 +90,17 @@ class TestMixedHypothesis:
         task = SubsetTask(bell_basis(), 2)
         h = rho_subset(task, (0, 3))
         manual = sum(
-            projector(stacked_state(bell_basis(), o)).matrix
-            for o in orderings((0, 3))
+            np.outer(s.amplitudes, s.amplitudes.conj())
+            for s in (stacked_state(bell_basis(), o) for o in orderings((0, 3)))
         ) / 2
-        assert_allclose(h.rho.matrix, manual, atol=1e-12)
+        assert_allclose(dense_rho(h), manual, atol=1e-12)
         assert h.subset_indices == (0, 3)
         assert len(h.components) == 2
 
     def test_rho_rank_counts_orderings(self):
         task = SubsetTask(bell_basis(), 2)
         h = rho_subset(task, (1, 2))
-        assert np.linalg.matrix_rank(h.rho.matrix, tol=1e-9) == 2
-
-    def test_dense_guard(self, monkeypatch):
-        monkeypatch.setattr("subsetid.subsets.DENSE_RHO_LIMIT", 8)
-        task = SubsetTask(bell_basis(), 2)
-        with pytest.raises(ResourceLimitError, match="dense"):
-            _ = rho_subset(task, (0, 1)).rho
+        assert np.linalg.matrix_rank(dense_rho(h), tol=1e-9) == 2
 
 
 class TestSubsetTask:

@@ -96,22 +96,33 @@ def test_permute_factors_convention():
         permute_factors(ab, (0, 0))
 
 
-class TestCutMatrix:
-    def test_rows_and_columns_group_each_side(self):
-        b1 = bell_like(1, 0, 0, 1)
-        stacked = tensor(with_copy(b1, 1), with_copy(b1, 2))  # A1 B1 A2 B2
-        m = cut_matrix(stacked, Cut.between("A", "B"))
-        # rows run over A1 A2, columns over B1 B2: sum_{ij} |ij>_A |ij>_B / 2
-        assert_allclose(m, np.eye(4) / 2, atol=1e-15)
+def test_regroup_party_major():
+    b1 = bell_like(1, 0, 0, 1)
+    stacked = tensor(with_copy(b1, 1), with_copy(b1, 2))  # A1 B1 A2 B2
+    m = cut_matrix(stacked, Cut.between("A", "B"))
+    # rows run over A1 A2, columns over B1 B2: sum_{ij} |ij>_A |ij>_B / 2
+    assert_allclose(m, np.eye(4) / 2, atol=1e-15)
 
+
+class TestReductions:
     def test_bell_reduction_is_maximally_mixed(self):
         m = cut_matrix(bell_like(1, 0, 0, 1), Cut.between("A", "B"))
         assert_allclose(m @ m.conj().T, np.eye(2) / 2, atol=1e-15)
 
-    def test_cut_must_bipartition_the_layout(self):
+    def test_partial_trace_matches_vector_route(self):
+        b3 = bell_like(0, 1, 1, 0)
+        rho = np.outer(b3.amplitudes, b3.amplitudes.conj())
+        via_rho = partial_trace(rho, b3.layout.dims, keep=[1])
+        m = cut_matrix(b3, Cut.between("B", "A"))
+        assert_allclose(m @ m.conj().T, via_rho, atol=1e-15)
+
+    def test_keep_must_be_valid(self):
         b1 = bell_like(1, 0, 0, 1)
         with pytest.raises(ValueError, match="bipartition"):
             cut_matrix(b1, Cut.between("A", "C"))
+        product = StateVector(qubit_layout("A", "B", "C"), np.eye(8)[0])
+        with pytest.raises(ValueError, match="bipartition"):
+            cut_matrix(product, Cut.between("A", "B"))
 
 
 def test_schmidt_and_mes():
@@ -210,18 +221,34 @@ def random_three_party_state(draw):
     return draw(random_state(Layout(tuple(Factor(p, 1, d) for p, d in zip("ABC", dims)))))
 
 
-def check_reductions_against_the_dense_trace(s):
-    """M M^dagger on every cut, both ways round, is the partial trace of
-    |s><s| onto the left side, and a valid state."""
-    rho = np.outer(s.amplitudes, s.amplitudes.conj())
+def every_reduction(s):
+    """(cut, M M^dagger) for every cut of the layout, both ways round."""
     for cut in all_bipartitions(s.layout.parties):
         for side in (cut, Cut(cut.right, cut.left)):
             m = cut_matrix(s, side)
-            reduced = m @ m.conj().T
-            lpos, _ = side.positions(s.layout)
-            assert_allclose(reduced, partial_trace(rho, s.layout.dims, lpos), atol=1e-12)
-            assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-9)
-            assert np.linalg.eigvalsh(reduced)[0] >= -1e-12
+            yield side, m @ m.conj().T
+
+
+def check_reductions_are_valid_states(s):
+    for _, reduced in every_reduction(s):
+        assert_allclose(reduced, reduced.conj().T, atol=1e-12)
+        assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.eigvalsh(reduced)[0] >= -1e-12
+
+
+def check_reductions_against_the_dense_trace(s):
+    """M M^dagger on every cut is the partial trace of |s><s| onto the
+    left side."""
+    rho = np.outer(s.amplitudes, s.amplitudes.conj())
+    for side, reduced in every_reduction(s):
+        lpos, _ = side.positions(s.layout)
+        assert_allclose(reduced, partial_trace(rho, s.layout.dims, lpos), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_three_party_state())
+def test_reductions_are_valid_states(s):
+    check_reductions_are_valid_states(s)
 
 
 @settings(max_examples=80, deadline=None)
@@ -233,6 +260,7 @@ def test_cut_matrix_gives_the_dense_reduction(s):
 @pytest.mark.parametrize("family", [ghz3_basis, ghz4_basis])
 def test_cut_matrix_gives_the_dense_reduction_on_every_member(family):
     for s in family().states:
+        check_reductions_are_valid_states(s)
         check_reductions_against_the_dense_trace(s)
 
 

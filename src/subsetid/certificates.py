@@ -246,8 +246,10 @@ def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) 
 
     premises: dict[str, bool] = {}
     premises["pairwise-orthogonal-hypotheses"] = orthogonal
-    mes_all = all(is_maximally_entangled(s, cut, tol) for s in state_set.states)
-    if left_stacked == right_stacked and mes_all:
+    # the SVDs are needed only when the complete-basis principle can apply
+    if left_stacked == right_stacked and all(
+        is_maximally_entangled(s, cut, tol) for s in state_set.states
+    ):
         axiom = AXIOM_MES
         premises["all-states-maximally-entangled"] = True
     else:

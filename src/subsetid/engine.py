@@ -43,7 +43,7 @@ from .subsets import (
     SubsetTask,
     check_settings,
     hypothesis_ensemble,
-    stacked_state,
+    stacked_layout,
 )
 
 REPORT_VERSION = 1
@@ -133,7 +133,7 @@ class _Engine:
             )
         protocol, classifier = PROTOCOLS[stmt.protocol]()
         # refuse a protocol that does not fit before any hypothesis is built
-        check_locality(protocol, stacked_state(task.state_set, range(task.k)).layout)
+        check_locality(protocol, stacked_layout(task.state_set, task.k))
         hypotheses = hypothesis_ensemble(task)
         sim = run_exact(protocol, hypotheses)
         identified = perfect_identification(sim, classifier)

@@ -276,9 +276,11 @@ def run_exact(
     Each pure ordering of a hypothesis runs separately and the hypothesis's
     distribution is their average, so the per-ordering distributions used by
     the order-blindness check come out of the same pass; the dense mixed
-    state is never formed. Every component is first regrouped party-major,
-    one axis per party in layout order (for the stacked states of
-    ``hypothesis_ensemble`` this costs no copy). Outcomes below ``prune``
+    state is never formed. Hypotheses are streamed: each one's components
+    are built when it is reached and dropped before the next, so memory
+    holds one subset's k! stacked vectors, not the ensemble's. Components
+    are party-major by construction, so each row is reshaped in place to
+    one axis per party, in layout order. Outcomes below ``prune``
     are dropped as exactly zero; their mass is reported in ``pruned_mass``.
     The threshold applies to each ordering's branches, not to the mixed
     state's: a branch pruned under some orderings keeps only the others'
@@ -316,7 +318,6 @@ def run_exact(
         m: _Factored.of(m) for step in protocol.steps for _, m in step.all_measurements()
     }
     parties = layout.parties
-    order = [i for p in parties for i in layout.positions_of(p)]
     sizes = tuple(layout.party_dim(p) for p in parties)
     axes = {p: i for i, p in enumerate(parties)}
 
@@ -325,11 +326,8 @@ def run_exact(
     pruned_mass = []
     for h in hypotheses:
         runs = [
-            _run_pure(
-                protocol, axes, factored,
-                c.amplitudes.reshape(layout.dims).transpose(order).reshape(sizes), prune,
-            )
-            for c in h.components
+            _run_pure(protocol, axes, factored, row.reshape(sizes), prune)
+            for row in h.components
         ]
         comp_dists = tuple(d for d, _ in runs)
         merged: dict = {}

@@ -10,6 +10,15 @@ hypothesis i is the mixed state
 where Phi_i_mu stacks the ordered states party-major (each party holds all
 its copies contiguously). Identifying the subset is exactly discriminating
 the rho_i.
+
+A :class:`MixedHypothesis` is light: it names its subset and its state set,
+and builds the k! stacked amplitude vectors as one (k!, dim) array each time
+``components`` is read, by broadcasting the members' amplitude rows straight
+into the party-major layout of :func:`stacked_layout`. Nothing is cached, so
+a simulation that reads one hypothesis at a time holds one subset's
+components, never the ensemble's. :func:`stacked_state` builds a single
+ordering the long way (copy relabelling, Kronecker products and a factor
+permutation) and serves as the independent reference for those rows.
 """
 
 from __future__ import annotations
@@ -18,13 +27,13 @@ import itertools
 import math
 import numbers
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError, SettingError
-from .statespace import ATOL, StateVector, permute_factors, tensor, with_copy
+from .statespace import ATOL, Factor, Layout, StateVector, permute_factors, tensor, with_copy
 
 #: largest stacked vector dimension a task will accept by default
 DEFAULT_MAX_DIM = 2 ** 16
@@ -117,9 +126,17 @@ class StateSet:
         return self.layout.parties
 
     @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The members' amplitude vectors as the rows of one read-only
+        (n, dim) matrix."""
+        rows = np.array([s.amplitudes for s in self.states])
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
     def gram(self) -> np.ndarray:
         """Matrix of mutual overlaps <psi_i|psi_j>."""
-        rows = np.array([s.amplitudes for s in self.states])
+        rows = self.amplitudes
         g = rows.conj() @ rows.T
         g.flags.writeable = False
         return g
@@ -143,12 +160,23 @@ def orderings(subset: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(sorted(subset)))
 
 
+def stacked_layout(state_set: StateSet, k: int) -> Layout:
+    """The layout of k stacked copies, party-major: every party's copies
+    1..k in a row (A1..Ak, B1..Bk, ...), parties in the set's order."""
+    return Layout(tuple(
+        Factor(f.party, t, f.dim) for f in state_set.layout.factors for t in range(1, k + 1)
+    ))
+
+
 def stacked_state(state_set: StateSet, ordering: Sequence[int]) -> StateVector:
     """Tensor the listed states and reorder the factors party-major.
 
     Copy t of the product (1-based) is the state ``ordering[t-1]``; the
     result's factor order is A-copies first, then B-copies, and so on, so
-    each party's holdings are one contiguous block.
+    each party's holdings are one contiguous block and the layout is
+    :func:`stacked_layout`. This is the reference route, one ordering at a
+    time; :attr:`MixedHypothesis.components` builds all of a subset's
+    orderings at once.
     """
     ordering = tuple(ordering)
     if len(set(ordering)) != len(ordering):
@@ -169,23 +197,56 @@ def stacked_state(state_set: StateSet, ordering: Sequence[int]) -> StateVector:
 
 @dataclass(frozen=True, eq=False)
 class MixedHypothesis:
-    """One candidate subset together with its order-averaged mixed state.
+    """One candidate subset of a state set, standing for its order-averaged
+    mixed state.
 
-    The pure components are the stacked states of all k! orderings, aligned
-    with :func:`orderings`; the mixed state is their uniform mixture and is
-    never formed as a matrix.
+    ``components`` holds the stacked amplitudes of all k! orderings, one row
+    per ordering aligned with :attr:`orderings`, on :attr:`layout`; the
+    mixed state is their uniform mixture and is never formed as a matrix.
+    The subset must list distinct member indices in increasing order.
     """
 
     subset_indices: tuple[int, ...]
-    components: tuple[StateVector, ...]
+    state_set: StateSet
+
+    def __post_init__(self):
+        subset = tuple(self.subset_indices)
+        if not subset or list(subset) != sorted(set(subset)):
+            raise ValueError(f"subset {subset} must list distinct indices in increasing order")
+        if not 0 <= subset[0] <= subset[-1] < len(self.state_set):
+            raise ValueError(f"subset {subset} names a state outside 0..{len(self.state_set) - 1}")
+        object.__setattr__(self, "subset_indices", subset)
 
     @property
-    def layout(self):
-        return self.components[0].layout
+    def layout(self) -> Layout:
+        return stacked_layout(self.state_set, len(self.subset_indices))
 
     @property
     def orderings(self) -> tuple[tuple[int, ...], ...]:
         return orderings(self.subset_indices)
+
+    @property
+    def components(self) -> np.ndarray:
+        """Read-only (k!, dim) complex128 array: row m is the party-major
+        stacked state of the m-th ordering.
+
+        Built on every access and not kept. Each copy t's member rows are
+        broadcast onto the factors (party, t) and the k copies multiplied
+        out, with no Kronecker product and no factor permutation.
+        """
+        orders = np.array(self.orderings)
+        count, k = orders.shape
+        dims = self.state_set.layout.dims
+        rows = self.state_set.amplitudes
+        out = reduce(np.multiply, (
+            rows[orders[:, t]].reshape((count,) + tuple(
+                d if s == t else 1 for d in dims for s in range(k)
+            ))
+            for t in range(k)
+        ))
+        out = out.reshape(count, -1)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,10 +288,10 @@ def rho_subset(task: SubsetTask, subset: Sequence[int]) -> MixedHypothesis:
             f"subset {subset} is not one of the sorted {task.k}-subsets "
             f"of range({task.n})"
         )
-    components = tuple(stacked_state(task.state_set, o) for o in orderings(subset))
-    return MixedHypothesis(subset, components)
+    return MixedHypothesis(subset, task.state_set)
 
 
 def hypothesis_ensemble(task: SubsetTask) -> tuple[MixedHypothesis, ...]:
-    """One hypothesis per subset, aligned with ``task.subsets``."""
-    return tuple(rho_subset(task, s) for s in task.subsets)
+    """One hypothesis per subset, aligned with ``task.subsets``. The
+    hypotheses are light; each builds its components when they are read."""
+    return tuple(MixedHypothesis(s, task.state_set) for s in task.subsets)

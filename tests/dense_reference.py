@@ -13,7 +13,7 @@ import numpy as np
 
 def dense_rho(hypothesis):
     """The order-averaged hypothesis as a matrix: sum_mu |c_mu><c_mu| / k!."""
-    amps = np.array([c.amplitudes for c in hypothesis.components])
+    amps = hypothesis.components
     return amps.T @ amps.conj() / len(amps)
 
 

@@ -300,6 +300,29 @@ def test_premise_decided_once_per_request(monkeypatch):
     assert len(calls) == 1
 
 
+def test_entanglement_checked_only_on_equal_sides(monkeypatch):
+    # the complete-basis principle needs equal stacked sides, so the
+    # members' Schmidt coefficients are computed on such cuts only
+    calls = []
+    real = certificates.is_maximally_entangled
+
+    def counted(s, cut, tol):
+        calls.append(cut.label(s.layout))
+        return real(s, cut, tol)
+
+    monkeypatch.setattr(certificates, "is_maximally_entangled", counted)
+    assert certify_genuine(CertificateRequest(ghz3_basis(), 2)).verdict == CERTIFIED
+    assert calls == []
+    result = certify_genuine(CertificateRequest(ghz4_basis(), 2))
+    # every member on AB:CD and AD:BC; AC:BD stops at its first member
+    assert {label: calls.count(label) for label in set(calls)} == {
+        "AB:CD": 16, "AC:BD": 1, "AD:BC": 16,
+    }
+    assert [c.axiom for c in result.certificates] == (
+        [AXIOM_ONE_SIDED] * 4 + [AXIOM_MES, AXIOM_ONE_SIDED, AXIOM_MES]
+    )
+
+
 def test_pair_guard(monkeypatch):
     monkeypatch.setattr(certificates, "MAX_OVERLAP_PAIRS", 14)
     with pytest.raises(ResourceLimitError, match="15 hypothesis pairs"):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from subsetid import (
     ATOL,
     Classifier,
     Measurement,
-    MixedHypothesis,
     Protocol,
     ProtocolStep,
     SubsetTask,
@@ -34,7 +34,6 @@ from subsetid import (
 from subsetid.acceptance import _EXPECTED_SUPPORT
 from subsetid.errors import AmbiguityError, CoverageError, LocalityError
 from subsetid.protocols import PRUNE_TOL
-from subsetid.statespace import permute_factors
 
 
 def bell32_report():
@@ -171,6 +170,23 @@ class TestRunExact:
         with pytest.raises(ValueError, match="at least one hypothesis"):
             run_exact(protocol, [])
 
+    def test_memory_holds_one_subset_at_a_time(self):
+        # ges(4) k=3 has 560 subsets of 6 stacked states of dimension 4,096:
+        # held at once, the components take 3,360 * 4,096 * 16 B = 220 MB
+        task = SubsetTask(ges_basis(4), 3)
+        odd = np.arange(64) % 2
+        protocol = Protocol(
+            "parity", (ProtocolStep(Measurement("A", (np.diag(1 - odd), np.diag(odd)))),)
+        )
+        tracemalloc.start()
+        try:
+            report = run_exact(protocol, hypothesis_ensemble(task))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.distributions) == 560
+        assert peak < 20 * 2 ** 20
+
 
 def _random_measurement(party, dim, outcomes, rng):
     """A random-unitary basis coarse-grained into ``outcomes`` projectors,
@@ -224,50 +240,38 @@ def test_run_exact_matches_the_dense_reference(case):
     protocol, task = case
     assert validate(protocol).ok
     hypotheses = hypothesis_ensemble(task)
-    inputs = [hypotheses]
-    if task.k == 2:
-        # the same states with factors copy-major (A1 B1 A2 B2), which
-        # run_exact must regroup party-major before it measures
-        inputs.append([
-            MixedHypothesis(
-                h.subset_indices,
-                tuple(permute_factors(c, (0, 2, 1, 3)) for c in h.components),
-            )
-            for h in hypotheses
-        ])
-    for hyps in inputs:
-        report = run_exact(protocol, hyps)
-        for h, dist, comps, pruned in zip(
-            report.hypotheses, report.distributions, report.by_component, report.pruned_mass
-        ):
-            dense = dense_distribution(protocol, h)
-            for t in set(dist) | set(dense):
-                assert dist.get(t, 0.0) == pytest.approx(dense.get(t, 0.0), abs=1e-12)
-            assert sum(dist.values()) + pruned == pytest.approx(1.0, abs=1e-12)
-            for d in comps:
-                assert sum(d.values()) == pytest.approx(1.0, abs=ATOL)
-        # pruning hard enough to drop real branches keeps the surviving
-        # leaves as they were and reports exactly the mass it dropped
-        coarse = run_exact(protocol, hyps, prune=0.05)
-        for dist, comps, fine_comps, pruned in zip(
-            coarse.distributions, coarse.by_component, report.by_component, coarse.pruned_mass
-        ):
-            assert sum(dist.values()) + pruned == pytest.approx(1.0, abs=1e-12)
-            for d, fine in zip(comps, fine_comps):
-                assert all(p == pytest.approx(fine[t], abs=1e-12) for t, p in d.items())
-        # pruning acts per ordering, not on the mixed state, so the two can
-        # differ, but each transcript by less than the threshold
-        for h, dist in zip(coarse.hypotheses, coarse.distributions):
-            dense = dense_distribution(protocol, h, prune=0.05)
-            for t in set(dist) | set(dense):
-                assert abs(dist.get(t, 0.0) - dense.get(t, 0.0)) < 0.05
-        # without pruning every branch is kept, a zero projector's included
-        full = run_exact(protocol, hyps, prune=0.0)
-        for h, dist, pruned in zip(full.hypotheses, full.distributions, full.pruned_mass):
-            dense = dense_distribution(protocol, h, prune=0.0)
-            for t in set(dist) | set(dense):
-                assert dist.get(t, 0.0) == pytest.approx(dense.get(t, 0.0), abs=1e-12)
-            assert pruned == 0.0
+    report = run_exact(protocol, hypotheses)
+    for h, dist, comps, pruned in zip(
+        report.hypotheses, report.distributions, report.by_component, report.pruned_mass
+    ):
+        dense = dense_distribution(protocol, h)
+        for t in set(dist) | set(dense):
+            assert dist.get(t, 0.0) == pytest.approx(dense.get(t, 0.0), abs=1e-12)
+        assert sum(dist.values()) + pruned == pytest.approx(1.0, abs=1e-12)
+        for d in comps:
+            assert sum(d.values()) == pytest.approx(1.0, abs=ATOL)
+    # pruning hard enough to drop real branches keeps the surviving
+    # leaves as they were and reports exactly the mass it dropped
+    coarse = run_exact(protocol, hypotheses, prune=0.05)
+    for dist, comps, fine_comps, pruned in zip(
+        coarse.distributions, coarse.by_component, report.by_component, coarse.pruned_mass
+    ):
+        assert sum(dist.values()) + pruned == pytest.approx(1.0, abs=1e-12)
+        for d, fine in zip(comps, fine_comps):
+            assert all(p == pytest.approx(fine[t], abs=1e-12) for t, p in d.items())
+    # pruning acts per ordering, not on the mixed state, so the two can
+    # differ, but each transcript by less than the threshold
+    for h, dist in zip(coarse.hypotheses, coarse.distributions):
+        dense = dense_distribution(protocol, h, prune=0.05)
+        for t in set(dist) | set(dense):
+            assert abs(dist.get(t, 0.0) - dense.get(t, 0.0)) < 0.05
+    # without pruning every branch is kept, a zero projector's included
+    full = run_exact(protocol, hypotheses, prune=0.0)
+    for h, dist, pruned in zip(full.hypotheses, full.distributions, full.pruned_mass):
+        dense = dense_distribution(protocol, h, prune=0.0)
+        for t in set(dist) | set(dense):
+            assert dist.get(t, 0.0) == pytest.approx(dense.get(t, 0.0), abs=1e-12)
+        assert pruned == 0.0
 
 
 class TestIdentification:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dense_reference import dense_rho
@@ -21,7 +23,7 @@ from subsetid import (
     stacked_state,
 )
 from subsetid.errors import ResourceLimitError
-from subsetid.statespace import StateVector, qubit_layout
+from subsetid.statespace import Factor, Layout, StateVector, qubit_layout
 
 
 def test_enumerate_subsets_order():
@@ -63,6 +65,13 @@ class TestStateSet:
         s = StateSet((product, tilted), require_orthonormal=False)
         assert not s.is_orthonormal()
 
+    def test_amplitudes_stack_the_members(self):
+        s = bell_basis()
+        assert s.amplitudes.shape == (4, 4)
+        assert not s.amplitudes.flags.writeable
+        for row, state in zip(s.amplitudes, s.states):
+            assert np.array_equal(row, state.amplitudes)
+
     def test_rejects_multi_factor_parties(self):
         two_copies = stacked_state(bell_basis(), (0, 1))
         with pytest.raises(ValueError, match="one factor"):
@@ -86,6 +95,20 @@ def test_stacked_state_rejects_repeats():
 
 
 class TestMixedHypothesis:
+    def test_components_are_built_on_access(self):
+        h = rho_subset(SubsetTask(bell_basis(), 2), (0, 3))
+        first = h.components
+        assert first.shape == (2, 16) and first.dtype == np.complex128
+        assert not first.flags.writeable
+        # nothing is cached on the hypothesis: each read builds a new array
+        assert h.components is not first
+        assert np.array_equal(h.components, first)
+
+    @pytest.mark.parametrize("subset", [(), (3, 0), (1, 1), (0, 4), (-1, 2)])
+    def test_subset_must_be_sorted_members(self, subset):
+        with pytest.raises(ValueError, match="subset"):
+            MixedHypothesis(subset, bell_basis())
+
     def test_rho_is_the_uniform_ordering_mixture(self):
         task = SubsetTask(bell_basis(), 2)
         h = rho_subset(task, (0, 3))
@@ -132,10 +155,39 @@ def test_hypothesis_ensemble_alignment():
     assert [h.subset_indices for h in ensemble] == list(task.subsets)
     for h in ensemble:
         assert len(h.components) == math.factorial(task.k)
-        for c, o in zip(h.components, h.orderings):
-            assert_allclose(
-                c.amplitudes, stacked_state(task.state_set, o).amplitudes
-            )
+        for row, o in zip(h.components, h.orderings):
+            assert_allclose(row, stacked_state(task.state_set, o).amplitudes)
+
+
+@st.composite
+def random_sets(draw):
+    """A random set on two or three parties of local dimension 2 or 3, with
+    orthonormal members or deliberately overlapping ones, and a subset size
+    k from 1 to 3 below the set's size."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    dim = math.prod(dims)
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, min(dim, k + 2)))
+    orthonormal = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    rows = np.linalg.qr(z.T)[0].T if orthonormal else z / np.linalg.norm(z, axis=1)[:, None]
+    layout = Layout(tuple(Factor(p, 1, d) for p, d in zip("ABC", dims)))
+    members = tuple(StateVector(layout, row) for row in rows)
+    return StateSet(members, require_orthonormal=orthonormal), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_sets())
+def test_components_are_the_stacked_states(case):
+    # the broadcast rows against the Kronecker route, ordering by ordering
+    state_set, k = case
+    for h in hypothesis_ensemble(SubsetTask(state_set, k)):
+        rows = h.components
+        assert rows.shape == (math.factorial(k), state_set.layout.dim ** k)
+        assert h.layout == stacked_state(state_set, h.orderings[0]).layout
+        for row, o in zip(rows, h.orderings):
+            assert_allclose(row, stacked_state(state_set, o).amplitudes, rtol=0, atol=1e-15)
 
 
 def test_component_orderings_cover_all_permutations():

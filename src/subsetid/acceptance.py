@@ -36,6 +36,7 @@ from .families import (
     bell,
     bell_basis,
     connecting_unitary,
+    cut_factors,
     ges_basis,
     ghz3_basis,
     ghz4_basis,
@@ -50,7 +51,7 @@ from .protocols import (
     run_exact,
 )
 from .script import parse, serialize
-from .statespace import ATOL, Cut, cut_matrix, is_maximally_entangled, regroup_coefficients
+from .statespace import ATOL, Cut, is_maximally_entangled, regroup_coefficients
 from .subsets import DEFAULT_MAX_DIM, SubsetTask, hypothesis_ensemble, stacked_state
 
 ATOL_SUPPORT = 1e-12
@@ -209,24 +210,21 @@ def check_basis_pair_family():
 # --- 7: one-sided unitaries connecting family members ---
 
 
-def _connection_residual(src, dst, cut) -> float:
-    u = connecting_unitary(src, dst, cut)
-    return float(np.linalg.norm(cut_matrix(src, cut) @ u.T - cut_matrix(dst, cut)))
-
-
 def check_connecting_unitaries():
     worst = 0.0
     count = 0
-    jobs = [(ghz3_basis(), list(all_bipartitions("ABC")))]
-    ghz4_cuts = [
-        c for c in all_bipartitions("ABCD") if c.label(ghz4_basis().layout) != "AC:BD"
-    ]
-    jobs.append((ghz4_basis(), ghz4_cuts))
+    ghz4 = ghz4_basis()
+    jobs = (
+        (ghz3_basis(), all_bipartitions("ABC")),
+        (ghz4, [c for c in all_bipartitions("ABCD") if c.label(ghz4.layout) != "AC:BD"]),
+    )
     for state_set, cuts in jobs:
         for cut in cuts:
-            for src in state_set.states:
-                for dst in state_set.states:
-                    worst = max(worst, _connection_residual(src, dst, cut))
+            factors = [cut_factors(s, cut) for s in state_set.states]
+            for src in factors:
+                for dst in factors:
+                    u = connecting_unitary(src, dst, cut)
+                    worst = max(worst, float(np.linalg.norm(src.matrix @ u.T - dst.matrix)))
                     count += 1
     if worst > 1e-9:
         return False, f"worst residual {worst} over {count} pairs"

@@ -12,12 +12,17 @@ Four families are provided, each an orthonormal basis of its space:
 
 Members of one family are related by one-sided unitaries across the cuts on
 which they are maximally entangled; :func:`connecting_unitary` computes such
-a unitary explicitly.
+a unitary explicitly. Its work per member (cut matrix, reduction,
+pseudo-inverse, SVD and kernel complement) is held in a :class:`CutFactors`
+record from :func:`cut_factors`, so a member that joins many pairs on one cut
+is factored once, not once per pair; the kernel-completion representative
+is the same as when each pair is factored from scratch.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,7 +200,53 @@ def _orthonormal_complement(columns: np.ndarray, dim: int) -> np.ndarray:
     return q[:, r:dim]
 
 
-def connecting_unitary(src: StateVector, dst: StateVector, cut: Cut, tol: float = ATOL) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class CutFactors:
+    """One state's factoring across one cut, shared by every pair it joins.
+
+    ``matrix`` is the cut matrix M, ``reduction`` the left reduction M M^dagger,
+    ``pinv`` the pseudo-inverse of M^T, ``left`` the left singular vectors of
+    M^T, ``rank`` the number of singular values above ``tol`` and ``perp`` an
+    orthonormal basis of the complement of the first ``rank`` of them. The
+    layout, cut and tolerance it was made for are kept so that records made
+    for different ones are never mixed.
+    """
+
+    layout: Layout
+    cut: Cut
+    tol: float
+    matrix: np.ndarray
+    reduction: np.ndarray
+    pinv: np.ndarray
+    left: np.ndarray
+    rank: int
+    perp: np.ndarray
+
+
+def cut_factors(state: StateVector, cut: Cut, tol: float = ATOL) -> CutFactors:
+    """Factor ``state`` across ``cut`` once, for any number of connecting_unitary calls."""
+    m = cut_matrix(state, cut)
+    a = m.T
+    left, s, _ = np.linalg.svd(a)
+    rank = int(np.sum(s > tol))
+    return CutFactors(
+        layout=state.layout,
+        cut=cut,
+        tol=tol,
+        matrix=m,
+        reduction=m @ m.conj().T,
+        # drops the coefficients at or below tol, as the rank does, so no
+        # direction is both inverted and completed on the kernel
+        pinv=np.linalg.pinv(a, rcond=tol / s[0]),
+        left=left,
+        rank=rank,
+        perp=_orthonormal_complement(left[:, :rank], a.shape[0]),
+    )
+
+
+def connecting_unitary(
+    src: StateVector | CutFactors, dst: StateVector | CutFactors, cut: Cut, tol: float = ATOL
+) -> np.ndarray:
     """A unitary U on the right side of the cut with (I tensor U) src = dst.
 
     Such a U exists exactly when src and dst have equal reduced operators on
@@ -204,28 +255,50 @@ def connecting_unitary(src: StateVector, dst: StateVector, cut: Cut, tol: float 
     rank is below the right-side dimension; the returned representative maps
     the source's right support onto the destination's and is completed on the
     kernel by orthonormalizing standard basis vectors, so it is deterministic.
+
+    Either argument may be a state or its :func:`cut_factors` record; a state
+    is factored on entry, so both forms run the same arithmetic and return
+    the same representative, bit for bit. Factoring each member once and
+    passing the records saves the per-pair SVDs when one member joins many
+    pairs. Records made for another cut or tolerance, or two records with
+    different layouts, raise ValueError.
+
+    Schmidt coefficients at or below ``tol`` count as zero, in the
+    pseudo-inverse as in the rank, so U connects the states up to them.
+    Reductions that agree within ``tol`` do not guarantee a unitary: Schmidt
+    coefficients too small to show in the reduction may still differ, or fall
+    on opposite sides of ``tol``. When the completed U is not unitary to
+    1e-9, a NoConnectingUnitaryError names the defect max|U^dagger U - I|,
+    and both Schmidt ranks when they differ.
     """
     if src.layout != dst.layout:
         raise ValueError("connecting_unitary requires a common layout")
-    m_src = cut_matrix(src, cut)
-    m_dst = cut_matrix(dst, cut)
-    dr = m_src.shape[1]
-    deviation = float(np.max(np.abs(m_src @ m_src.conj().T - m_dst @ m_dst.conj().T)))
+    src, dst = (f if isinstance(f, CutFactors) else cut_factors(f, cut, tol) for f in (src, dst))
+    for f in (src, dst):
+        if f.cut != cut or f.tol != tol:
+            raise ValueError(
+                f"factors made for cut {f.cut.label(f.layout)} at tol {f.tol:g} cannot "
+                f"be used for cut {cut.label(f.layout)} at tol {tol:g}"
+            )
+    deviation = float(np.max(np.abs(src.reduction - dst.reduction)))
     if deviation > tol:
         raise NoConnectingUnitaryError(
             "left-side reduced operators differ by "
             f"{deviation:.3e} across {cut.label(src.layout)}; no one-sided "
             "unitary on the right can connect these states"
         )
-    a = m_src.T
-    b = m_dst.T
-    u = b @ np.linalg.pinv(a)
-    ua, s, _ = np.linalg.svd(a)
-    ub, _, _ = np.linalg.svd(b)
-    rank = int(np.sum(s > tol))
-    a_perp = _orthonormal_complement(ua[:, :rank], dr)
-    b_perp = _orthonormal_complement(ub[:, :rank], dr)
-    u = u + b_perp @ a_perp.conj().T
-    if np.max(np.abs(u.conj().T @ u - np.eye(dr))) > 1e-9:
-        raise RuntimeError("kernel completion failed to produce a unitary")
+    # the completion pairs both kernels at the source's rank, so a rank
+    # mismatch needs the destination's complement taken at that rank
+    dst_perp = dst.perp
+    if dst.rank != src.rank:
+        dst_perp = _orthonormal_complement(dst.left[:, : src.rank], dst.left.shape[0])
+    u = dst.matrix.T @ src.pinv + dst_perp @ src.perp.conj().T
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    if defect > 1e-9:
+        ranks = f"; Schmidt ranks {src.rank} and {dst.rank}" if src.rank != dst.rank else ""
+        raise NoConnectingUnitaryError(
+            f"kernel completion across {cut.label(src.layout)} is not unitary "
+            f"(max|U^dagger U - I| = {defect:.3e}{ranks}): the left reductions "
+            f"agree within {tol:g} but the Schmidt coefficients do not"
+        )
     return u

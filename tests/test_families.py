@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from subsetid import (
+    ATOL,
     Cut,
+    all_bipartitions,
     bell,
     bell_basis,
     connecting_unitary,
+    cut_factors,
     cut_matrix,
     ges_basis,
     ges_state,
@@ -21,7 +26,7 @@ from subsetid import (
 )
 from subsetid.errors import NoConnectingUnitaryError
 from subsetid.families import gamma, weyl_unitary
-from subsetid.statespace import StateVector, qubit_layout
+from subsetid.statespace import Factor, Layout, StateVector, qubit_layout
 
 SQ2 = 1.0 / math.sqrt(2)
 
@@ -164,3 +169,136 @@ class TestConnectingUnitary:
         product = StateVector(qubit_layout("A", "B"), [1, 0, 0, 0])
         with pytest.raises(NoConnectingUnitaryError):
             connecting_unitary(product, bell(1), self.cut)
+
+
+def _two_party_state(m) -> StateVector:
+    """The state with amplitude matrix m across A:B, A of dimension rows, B columns."""
+    dl, dr = m.shape
+    return StateVector(Layout((Factor("A", 1, dl), Factor("B", 1, dr))), m.reshape(-1))
+
+
+def _schmidt_state(eps, right=(0, 1, 2)) -> StateVector:
+    """A 3x3 state with Schmidt coefficients (sqrt(1/2), sqrt(1/2 - eps^2), eps),
+    the i-th paired with right ket right[i]."""
+    m = np.zeros((3, 3), dtype=np.complex128)
+    for i, c in enumerate((math.sqrt(0.5), math.sqrt(0.5 - eps * eps), eps)):
+        m[i, right[i]] = c
+    return _two_party_state(m)
+
+
+AB = Cut.between("A", "B")
+
+
+class TestNearTolerance:
+    """Left reductions that agree within ATOL while the Schmidt coefficients do not."""
+
+    @pytest.mark.parametrize("factored", [False, True], ids=["states", "factors"])
+    @pytest.mark.parametrize(
+        "src_eps, dst_eps, ranks",
+        [(3e-5, 1e-5, None), (2e-9, 5e-10, "Schmidt ranks 3 and 2")],
+        ids=["both-above-tol", "ranks-straddle-tol"],
+    )
+    def test_raises_the_typed_error_with_its_defect(self, src_eps, dst_eps, ranks, factored):
+        src, dst = _schmidt_state(src_eps), _schmidt_state(dst_eps, right=(2, 0, 1))
+        m_src, m_dst = cut_matrix(src, AB), cut_matrix(dst, AB)
+        assert np.max(np.abs(m_src @ m_src.conj().T - m_dst @ m_dst.conj().T)) <= ATOL
+        if factored:
+            src, dst = cut_factors(src, AB), cut_factors(dst, AB)
+        with pytest.raises(NoConnectingUnitaryError, match=r"max\|U\^dagger U - I\| = \d") as info:
+            connecting_unitary(src, dst, AB)
+        assert ("Schmidt ranks" in str(info.value)) == (ranks is not None)
+        if ranks:
+            assert ranks in str(info.value)
+
+    @pytest.mark.parametrize("src_eps, dst_eps", [(1e-12, 1e-12), (5e-10, 2e-9)])
+    def test_coefficients_at_or_below_tol_count_as_zero(self, src_eps, dst_eps):
+        src, dst = _schmidt_state(src_eps), _schmidt_state(dst_eps, right=(2, 0, 1))
+        u = connecting_unitary(src, dst, AB)
+        assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
+        residual = np.linalg.norm(cut_matrix(src, AB) @ u.T - cut_matrix(dst, AB))
+        assert residual <= src_eps + dst_eps
+
+
+class TestMismatchedFactors:
+    def test_other_cut(self):
+        f = cut_factors(ghz3(1), Cut.between("A", "BC"))
+        with pytest.raises(ValueError, match="made for cut A:BC"):
+            connecting_unitary(f, ghz3(2), Cut.between("B", "AC"))
+
+    def test_other_tol(self):
+        f = cut_factors(bell(1), AB, tol=1e-6)
+        with pytest.raises(ValueError, match="at tol 1e-06"):
+            connecting_unitary(f, cut_factors(bell(2), AB), AB)
+        with pytest.raises(ValueError, match="at tol 1e-06"):
+            connecting_unitary(bell(2), f, AB)
+
+    def test_other_layout(self):
+        with pytest.raises(ValueError, match="common layout"):
+            connecting_unitary(cut_factors(bell(1), AB), cut_factors(gamma(3), AB), AB)
+
+
+def _c07_cuts():
+    """(members, cut) for every cut verify-paper's connecting-unitary criterion visits."""
+    ghz4 = ghz4_basis()
+    out = [(ghz3_basis(), cut) for cut in all_bipartitions("ABC")]
+    out += [(ghz4, c) for c in all_bipartitions("ABCD") if c.label(ghz4.layout) != "AC:BD"]
+    return out
+
+
+_EQUIVALENCE_CASES = _c07_cuts() + [(bell_basis(), AB)]
+
+
+@pytest.mark.parametrize(
+    "state_set, cut",
+    _EQUIVALENCE_CASES,
+    ids=[f"{s.name}-{c.label(s.layout)}" for s, c in _EQUIVALENCE_CASES],
+)
+def test_factored_form_gives_the_same_bits(state_set, cut):
+    factors = [cut_factors(s, cut) for s in state_set.states]
+    for src, f in zip(state_set.states, factors):
+        for dst, g in zip(state_set.states, factors):
+            assert np.array_equal(connecting_unitary(f, g, cut), connecting_unitary(src, dst, cut))
+
+
+def test_both_forms_fail_alike_on_the_crossed_cut():
+    states, cut = ghz4_basis().states, Cut.between("AC", "BD")
+    with pytest.raises(NoConnectingUnitaryError) as by_state:
+        connecting_unitary(states[0], states[2], cut)
+    with pytest.raises(NoConnectingUnitaryError) as by_factors:
+        connecting_unitary(cut_factors(states[0], cut), cut_factors(states[2], cut), cut)
+    assert str(by_state.value) == str(by_factors.value)
+    assert "across AC:BD" in str(by_state.value)
+
+
+@st.composite
+def rotated_pairs(draw):
+    """A random 2x3 or 3x3 state and the same state under a random unitary on B.
+
+    The unitary is the Q of a drawn matrix's QR. Schmidt coefficients between
+    1e-10 and 1e-6 are left out: there the rounding of the rotated state,
+    amplified by one over the coefficient, or the coefficient itself, which
+    counts as zero, can exceed the 1e-9 the property asks for.
+    """
+    dl = draw(st.sampled_from([2, 3]))
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    x = np.array(draw(st.lists(parts, min_size=6 * dl, max_size=6 * dl)))
+    m = (x[: 3 * dl] + 1j * x[3 * dl :]).reshape(dl, 3)
+    norm = np.linalg.norm(m)
+    assume(norm > 0.1)
+    m = m / norm
+    s = np.linalg.svd(m, compute_uv=False)
+    assume(np.all((s >= 1e-6) | (s <= 1e-10)))
+    y = np.array(draw(st.lists(parts, min_size=18, max_size=18)))
+    q, _ = np.linalg.qr((y[:9] + 1j * y[9:]).reshape(3, 3))
+    return _two_party_state(m), _two_party_state(m @ q.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rotated_pairs())
+def test_both_forms_connect_a_rotated_pair(pair):
+    src, dst = pair
+    by_state = connecting_unitary(src, dst, AB)
+    by_factors = connecting_unitary(cut_factors(src, AB), cut_factors(dst, AB), AB)
+    assert np.array_equal(by_state, by_factors)
+    assert np.max(np.abs(by_state.conj().T @ by_state - np.eye(3))) < 1e-9
+    assert np.linalg.norm(cut_matrix(src, AB) @ by_state.T - cut_matrix(dst, AB)) < 1e-9

@@ -43,8 +43,8 @@ from .families import (
     named_states,
 )
 from .protocols import (
-    builtin_bell32_variants,
-    builtin_bell43,
+    PROTOCOLS,
+    derive_classifier,
     format_transcript,
     order_blindness_verdict,
     perfect_identification,
@@ -71,6 +71,11 @@ def _transcript(a: int, b: int):
     return (("A", a), ("B", b))
 
 
+def _identification(report):
+    """Identification verdict with the classifier tallied from ``report``."""
+    return perfect_identification(report, derive_classifier(report, on_ambiguity="first"))
+
+
 # --- 1: the paired Bell measurement transcript table ---
 
 _EXPECTED_SUPPORT = {
@@ -81,7 +86,7 @@ _EXPECTED_SUPPORT = {
 
 
 def check_transcript_table():
-    protocol, _ = builtin_bell32_variants()
+    protocol = PROTOCOLS["bell32"]()
     task = _bell_triple_task((1, 2, 3))
     report = run_exact(protocol, hypothesis_ensemble(task), prune=0.0)
     for h, dist in zip(report.hypotheses, report.distributions):
@@ -107,10 +112,8 @@ def check_transcript_table():
 def check_pair_identification():
     checked = 0
     for triple in _BELL_TRIPLES:
-        protocol, classifier = builtin_bell32_variants(triple)
-        task = _bell_triple_task(triple)
-        report = run_exact(protocol, hypothesis_ensemble(task))
-        identified = perfect_identification(report, classifier)
+        report = run_exact(PROTOCOLS["bell32"](), hypothesis_ensemble(_bell_triple_task(triple)))
+        identified = _identification(report)
         blind = order_blindness_verdict(report)
         if not identified.ok:
             return False, f"triple {triple} misidentifies: {identified.witness}"
@@ -269,10 +272,8 @@ def check_four_party_genuine():
 
 
 def check_triple_copy_tally():
-    protocol, classifier = builtin_bell43()
-    task = SubsetTask(bell_basis(), 3)
-    report = run_exact(protocol, hypothesis_ensemble(task))
-    identified = perfect_identification(report, classifier)
+    report = run_exact(PROTOCOLS["bell43"](), hypothesis_ensemble(SubsetTask(bell_basis(), 3)))
+    identified = _identification(report)
     blind = order_blindness_verdict(report)
     problems = []
     if not identified.ok:
@@ -290,13 +291,9 @@ def check_triple_copy_tally():
 def check_consistency():
     cut = _ab_cut()
     for triple in _BELL_TRIPLES:
-        protocol, classifier = builtin_bell32_variants(triple)
         task = _bell_triple_task(triple)
-        report = run_exact(protocol, hypothesis_ensemble(task))
-        if not (
-            perfect_identification(report, classifier).ok
-            and order_blindness_verdict(report).ok
-        ):
+        report = run_exact(PROTOCOLS["bell32"](), hypothesis_ensemble(task))
+        if not (_identification(report).ok and order_blindness_verdict(report).ok):
             return False, f"triple {triple} protocol unexpectedly fails"
         cert = certify_cut(CertificateRequest(task.state_set, 2, cut))
         if cert.verdict == CERTIFIED:
@@ -353,9 +350,8 @@ _FUZZ_TOKENS = (
 def check_infrastructure():
     conservation = 0
     for name, k in (("bell32", 2), ("bell43", 3)):
-        protocol, _ = (builtin_bell32_variants if name == "bell32" else builtin_bell43)()
         task = SubsetTask(bell_basis(), k)
-        report = run_exact(protocol, hypothesis_ensemble(task))
+        report = run_exact(PROTOCOLS[name](), hypothesis_ensemble(task))
         for dist, comps in zip(report.distributions, report.by_component):
             for d in (dist, *comps):
                 total = sum(d.values())

@@ -141,10 +141,7 @@ def _cmd_families(args) -> int:
 def _cmd_parse(args) -> int:
     try:
         script = parse_script(_read_script(args.script))
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScriptError as e:
+    except (OSError, ScriptError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     n = len(script.statements)

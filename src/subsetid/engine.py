@@ -22,6 +22,7 @@ from .errors import ExecutionError, ResourceLimitError
 from .protocols import (
     PROTOCOLS,
     check_locality,
+    derive_classifier,
     format_transcript,
     order_blindness_verdict,
     perfect_identification,
@@ -131,12 +132,14 @@ class _Engine:
                 f"unknown protocol {stmt.protocol!r} "
                 f"(available: {', '.join(sorted(PROTOCOLS))})"
             )
-        protocol, classifier = PROTOCOLS[stmt.protocol]()
+        protocol = PROTOCOLS[stmt.protocol]()
         # refuse a protocol that does not fit before any hypothesis is built
         check_locality(protocol, stacked_layout(task.state_set, task.k))
         hypotheses = hypothesis_ensemble(task)
         sim = run_exact(protocol, hypotheses)
-        identified = perfect_identification(sim, classifier)
+        # tallied from this very simulation: identified iff no reached
+        # transcript is claimed by two subsets of this task
+        identified = perfect_identification(sim, derive_classifier(sim, on_ambiguity="first"))
         blind = order_blindness_verdict(sim, self.tolerance)
         record = {
             "kind": "simulate",

@@ -10,18 +10,20 @@ transcript distributions are not sampled, they are computed.
 A classifier turns transcripts into subset verdicts. The two builtin
 protocols cover the Bell-state tasks: ``bell32`` (paired Bell-basis
 measurements for two distributed Bell states out of three candidates) and
-``bell43`` (three-qubit GHZ-basis measurements for three out of four). Both
-classifiers are tallied from an exhaustive simulation the first time the
-protocol is built in a process; no table is written out in the source.
+``bell43`` (three-qubit GHZ-basis measurements for three out of four).
+``PROTOCOLS`` maps each name to a builder of the bare protocol; a script's
+``simulate`` tallies the classifier from the very simulation it judges, so
+the verdict holds for whatever set, in whatever order, the task declares.
+``builtin_bell32_variants`` and ``builtin_bell43`` return a protocol with a
+classifier tallied on its reference set, afresh on every call; no table is
+written out in the source or shared between calls.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -350,20 +352,9 @@ class Verdict:
 
 @dataclass(frozen=True, eq=False)
 class Classifier:
-    """Total-on-reached-transcripts map from transcript to subset indices.
-
-    The table is read-only, since the builtin classifiers are shared;
-    ``table.copy()`` gives a mutable dict.
-    """
+    """Total-on-reached-transcripts map from transcript to subset indices."""
 
     table: Mapping[Transcript, tuple[int, ...]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
-
-    def __reduce__(self):
-        # a mappingproxy neither pickles nor deep-copies; rebuild from a dict
-        return Classifier, (dict(self.table),)
 
     def __call__(self, t: Transcript) -> tuple[int, ...]:
         try:
@@ -463,17 +454,19 @@ def derive_classifier(report: SimulationReport, *, on_ambiguity: str = "error") 
 # builtin protocols
 
 
-def _tallied_two_step(
-    name: str, basis: StateSet, reference: StateSet, k: int, on_ambiguity: str = "error"
-) -> tuple[Protocol, Classifier]:
-    """Party A, then party B, measures its whole block along ``basis``; the
-    classifier is tallied from the exhaustive simulation of every k-subset
-    of ``reference``."""
-    protocol = Protocol(
+def _two_step(name: str, basis: StateSet) -> Protocol:
+    """Party A, then party B, measures its whole block along ``basis``."""
+    return Protocol(
         name, tuple(ProtocolStep(basis_measurement(p, basis.states)) for p in ("A", "B"))
     )
-    report = run_exact(protocol, hypothesis_ensemble(SubsetTask(reference, k)))
-    return protocol, derive_classifier(report, on_ambiguity=on_ambiguity)
+
+
+def _bell32_protocol() -> Protocol:
+    return _two_step("bell32", bell_basis())
+
+
+def _bell43_protocol() -> Protocol:
+    return _two_step("bell43", ghz3_basis())
 
 
 def builtin_bell32_variants(triple: Sequence[int] = (1, 2, 3)) -> tuple[Protocol, Classifier]:
@@ -485,42 +478,39 @@ def builtin_bell32_variants(triple: Sequence[int] = (1, 2, 3)) -> tuple[Protocol
     both orders produces one and the same distribution, so it identifies
     the pair without ever learning the order.
 
-    ``triple`` lists three distinct Bell indices from 1..4. The classifier is
-    tallied by exhaustive simulation over that triple's three pair
-    hypotheses, and construction fails with AmbiguityError if two pairs ever
-    share a transcript; all four triples tally cleanly, each pair reaching
-    four transcripts at probability 1/4. Each triple is tallied once per
-    process; later calls return the same objects.
+    ``triple`` lists three distinct Bell indices from 1..4, in any order.
+    The classifier is tallied on every call by exhaustive simulation over
+    the sorted triple's three pair hypotheses, and construction fails with
+    AmbiguityError if two pairs ever share a transcript; all four triples
+    tally cleanly, each pair reaching four transcripts at probability 1/4.
     """
     triple = tuple(sorted(triple))
     if len(triple) != 3 or len(set(triple)) != 3 or not all(1 <= i <= 4 for i in triple):
         raise ValueError(f"need three distinct Bell indices from 1..4, got {triple}")
-    return _bell32(triple)
+    protocol = _bell32_protocol()
+    task = SubsetTask(named_states([f"B{i}" for i in triple]), 2)
+    return protocol, derive_classifier(run_exact(protocol, hypothesis_ensemble(task)))
 
 
-@functools.cache
-def _bell32(triple: tuple[int, ...]) -> tuple[Protocol, Classifier]:
-    return _tallied_two_step("bell32", bell_basis(), named_states([f"B{i}" for i in triple]), 2)
-
-
-@functools.cache
 def builtin_bell43() -> tuple[Protocol, Classifier]:
     """Three-qubit GHZ-basis tally for three Bell states out of four.
 
     Both parties measure their three-qubit blocks in the ghz3 basis and
-    tally outcomes. The classifier is tallied, like bell32's, by exhaustive
-    simulation over the four 3-subsets of the Bell basis, once per process
-    (later calls return the same objects). That simulation shows the scheme
-    cannot work: the subsets {0,1,2} and {0,2,3} produce identical
-    transcript distributions, as do {0,1,3} and {1,2,3}, so each of the 48
-    reached transcripts is claimed by two subsets, at probability 1/24
-    under each; and individual orderings of a subset are distinguishable
-    from one another. Both the identification and the order-blindness
-    verdicts therefore come out false. The classifier ships anyway, routing
-    every transcript to its first claimant, so the failure is reproducible.
+    tally outcomes. The classifier is tallied on every call, like bell32's,
+    by exhaustive simulation over the four 3-subsets of the Bell basis. That
+    simulation shows the scheme cannot work: the subsets {0,1,2} and
+    {0,2,3} produce identical transcript distributions, as do {0,1,3} and
+    {1,2,3}, so each of the 48 reached transcripts is claimed by two
+    subsets, at probability 1/24 under each; and individual orderings of a
+    subset are distinguishable from one another. Both the identification
+    and the order-blindness verdicts therefore come out false. The
+    classifier ships anyway, routing every transcript to its first
+    claimant, so the failure is reproducible.
     """
-    return _tallied_two_step("bell43", ghz3_basis(), bell_basis(), 3, on_ambiguity="first")
+    protocol = _bell43_protocol()
+    report = run_exact(protocol, hypothesis_ensemble(SubsetTask(bell_basis(), 3)))
+    return protocol, derive_classifier(report, on_ambiguity="first")
 
 
-#: builtin protocols addressable from scripts
-PROTOCOLS = {"bell32": builtin_bell32_variants, "bell43": builtin_bell43}
+#: builtin protocols addressable from scripts, by name
+PROTOCOLS = {"bell32": _bell32_protocol, "bell43": _bell43_protocol}

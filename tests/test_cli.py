@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from subsetid import cli
 from subsetid.protocols import builtin_bell43, format_transcript
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 TRIPLE_SCRIPT = """\
 set trio = states[B1,B2,B3]
@@ -207,6 +209,32 @@ class TestVerify:
         assert proc.returncode == 1
         assert sum(l.startswith("FAIL") for l in tallies) == 2
         assert lines[-1] == "10/12 criteria passed"
+
+
+class TestReadmeQuickStart:
+    """README's Quick start, run as written, so its examples cannot drift."""
+
+    @pytest.fixture
+    def section(self):
+        text = README.read_text(encoding="utf-8")
+        return text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+
+    def test_families_line(self, section, capsys):
+        command, line = re.search(r"\$ subsetid (families .*)\n(.*)\n", section).groups()
+        assert cli.run(command.split()) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_triple_script(self, section, tmp_path, capsys):
+        script = re.search(r"\$ cat triple\.sid\n(.*?\n)\n", section, re.S).group(1)
+        path = tmp_path / "triple.sid"
+        path.write_text(script, encoding="utf-8")
+        for command, stated in (
+            ("simulate", "perfect identification: yes"),
+            ("certify", "ConditionFails"),
+        ):
+            assert f"`{stated}`" in section
+            assert cli.run([command, str(path)]) == 0
+            assert stated in capsys.readouterr().out
 
 
 def test_frozen_ambiguous_classifier_table():

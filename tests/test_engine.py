@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -120,6 +121,44 @@ class TestGoldenFiles:
         assert render_structured(execute(script)) == golden_text("bell43_simulate.txt")
 
 
+BELL_TRIPLES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+
+
+class TestSoundVerdicts:
+    """The identification verdict comes from the simulation it judges, so it
+    holds for any set the script declares, in any order."""
+
+    @pytest.mark.parametrize(
+        "order",
+        [order for triple in BELL_TRIPLES for order in itertools.permutations(triple)],
+        ids=lambda order: "".join(f"B{i}" for i in order),
+    )
+    def test_every_ordered_bell_triple_is_identified(self, order):
+        names = ",".join(f"B{i}" for i in order)
+        run = execute(
+            f"set trio = states[{names}]\ntask t = subset(trio, k=2)\n"
+            "simulate t protocol bell32\n"
+        )["runs"][0]
+        assert run["perfect_identification"] is True
+        assert run["order_blindness"] is True
+        assert "identification_witness" not in run
+
+    @pytest.mark.parametrize("family,cut", [("bell_basis(2)", "auto"), ("ghz3_basis", "all")])
+    def test_certified_task_is_not_identified(self, family, cut):
+        simulated, certified = execute(
+            f"set s = {family}\ntask t = subset(s, k=2)\n"
+            f"simulate t protocol bell32\ncertify t cut {cut}\n"
+        )["runs"]
+        assert {c["verdict"] for c in certified["certificates"]} == {"Certified"}
+        assert simulated["perfect_identification"] is False
+        # the witness transcript is reached under both subsets it confuses
+        witness = simulated["identification_witness"]
+        assert witness["hypothesis"] != witness["classified"]
+        reached = {tuple(h["subset"]): h["distribution"] for h in simulated["hypotheses"]}
+        for subset in (witness["hypothesis"], witness["classified"]):
+            assert reached[tuple(subset)][witness["transcript"]] > 0
+
+
 class TestExecutionErrors:
     @pytest.mark.parametrize(
         "source,line,fragment",
@@ -146,11 +185,6 @@ class TestExecutionErrors:
                 "set x = bell_basis(2)\ntask t = subset(x, k=2)\ncertify t cut AA:B",
                 3,
                 "repeats in cut",
-            ),
-            (
-                "set g = ghz3_basis\ntask t = subset(g, k=2)\nsimulate t protocol bell32",
-                3,
-                "no entry for transcript",
             ),
         ],
     )

@@ -31,7 +31,14 @@ import numpy as np
 from .errors import AmbiguityError, CoverageError, LocalityError
 from .families import bell_basis, ghz3_basis, named_states
 from .statespace import ATOL, Layout, StateVector
-from .subsets import MixedHypothesis, StateSet, SubsetTask, hypothesis_ensemble, rho_subset
+from .subsets import (
+    MixedHypothesis,
+    StateSet,
+    SubsetTask,
+    hypothesis_ensemble,
+    rho_subset,
+    stacked_rows,
+)
 
 #: branches below this probability are treated as exactly zero
 PRUNE_TOL = 1e-12
@@ -232,39 +239,161 @@ class _Factored:
         return cls(adjoint, tuple(isometries), starts, ranks, summing)
 
 
-def _run_pure(protocol: Protocol, axes: dict, factored: dict, amps: np.ndarray, prune: float):
-    """Transcript distribution of one component and the mass pruning dropped.
+#: amplitudes one chunk of run_exact's stacked orderings may hold (256 KiB)
+_CHUNK_AMPLITUDES = 2 ** 14
 
-    ``amps`` has one axis per party (party-major); ``axes[party]`` is the
-    party's axis. A branch carries its coordinates, per axis the isometry
-    its party was last measured in (None: not yet measured), and its mass.
+
+def _chunks(hypotheses: Sequence[MixedHypothesis], dim: int):
+    """Consecutive hypotheses on one state set whose orderings, of ``dim``
+    amplitudes each, hold at most _CHUNK_AMPLITUDES together; a chunk always
+    holds at least one hypothesis."""
+    chunk: list[MixedHypothesis] = []
+    held = 0
+    for h in hypotheses:
+        size = math.factorial(len(h.subset_indices)) * dim
+        if chunk and (held + size > _CHUNK_AMPLITUDES or h.state_set is not chunk[0].state_set):
+            yield chunk
+            chunk, held = [], 0
+        chunk.append(h)
+        held += size
+    yield chunk
+
+
+class _Plan:
+    """Tables of one protocol that every chunk's walk shares.
+
+    Measurements are numbered in order of first appearance; ``factored``,
+    ``axis`` (the measured party's axis) and ``first_key`` go by that
+    number. Isometry key ``first_key[i] + o`` stands for outcome o of
+    measurement i, ``isometries[key - 1]``; key 0 for a party not yet
+    measured. ``width`` bounds every outcome count, so a child transcript's
+    key is its parent's index times ``width`` plus its outcome index.
     """
-    pruned = 0.0
-    branches = [((), amps, (None,) * amps.ndim, 1.0)]
-    for step in protocol.steps:
+
+    def __init__(self, protocol: Protocol, axes: dict):
+        self.steps = protocol.steps
+        self.measurements = list(dict.fromkeys(
+            m for step in protocol.steps for _, m in step.all_measurements()
+        ))
+        self.index = {m: i for i, m in enumerate(self.measurements)}
+        self.factored = [_Factored.of(m) for m in self.measurements]
+        self.axis = [axes[m.party] for m in self.measurements]
+        self.isometries = [w for f in self.factored for w in f.isometries]
+        self.first_key = np.cumsum([1] + [len(m.outcomes) for m in self.measurements]).tolist()
+        self.width = max(len(m.outcomes) for m in self.measurements)
+
+
+def _walk(plan: _Plan, amps: np.ndarray, prune: float):
+    """Every component's transcript distribution and the mass pruning dropped.
+
+    ``amps`` holds one component per row, with one axis per party after the
+    row axis (party-major). A row of the walk is one (component, branch)
+    pair; it carries its coordinates, its component and the index of its
+    transcript among those reached at this level, which are numbered in
+    lexicographic order of their outcome indices. Everything that decides
+    a row's group is a function of its transcript: the measurement chosen,
+    and per axis the isometry key its party was last measured in, so those
+    are kept once per transcript. A block of rows shares one shape and
+    lists its transcripts; all rows of one transcript sit in one block.
+    """
+    width = plan.width
+    count = len(amps)
+    last = len(plan.steps) - 1
+    pruned = np.zeros(count)
+    transcripts: list[Transcript] = [()]
+    bases = [(0,) * (amps.ndim - 1)]
+    level = [(amps, np.arange(count), np.zeros(count, dtype=np.intp), [0])]
+
+    def name(key: int) -> Transcript:
+        p, o = divmod(key, width)
+        m = plan.measurements[chosen[p]]
+        return transcripts[p] + ((m.party, m.outcomes[o]),)
+
+    for s, step in enumerate(plan.steps):
+        chosen = [plan.index[step.choose(t)] for t in transcripts]
+        key = [(mid, bases[p][plan.axis[mid]]) for p, mid in enumerate(chosen)]
+        # rows sharing the measurement, the measured axis's isometry and the shape
+        groups: dict = {}
+        for block in level:
+            vecs, _, prefixes, ids = block
+            distinct = dict.fromkeys(key[p] for p in ids)
+            for k in distinct:
+                part = block
+                if len(distinct) > 1:
+                    mine = [p for p in ids if key[p] == k]
+                    rows = np.isin(prefixes, mine)
+                    part = (vecs[rows], block[1][rows], prefixes[rows], mine)
+                groups.setdefault(k + (vecs.shape[1:],), []).append(part)
         grown = []
-        for prefix, vec, bases, _ in branches:
-            m = step.choose(prefix)
-            f = factored[m]
-            ax = axes[m.party]
-            op = f.adjoint if bases[ax] is None else f.adjoint @ bases[ax]
-            shape = vec.shape
+        for (mid, basis, shape), parts in groups.items():
+            vecs, comps, prefixes = (
+                parts[0][:3] if len(parts) == 1
+                else (np.concatenate(x) for x in tuple(zip(*parts))[:3])
+            )
+            ids = [p for part in parts for p in part[3]]
+            f = plan.factored[mid]
+            ax = plan.axis[mid]
+            op = f.adjoint if basis == 0 else f.adjoint @ plan.isometries[basis - 1]
+            g = len(vecs)
             # explicit sizes: an axis may have shrunk to a zero projector's rank 0
-            coeffs = op @ vec.reshape(math.prod(shape[:ax]), shape[ax], math.prod(shape[ax + 1:]))
-            parts = coeffs.view(np.float64)  # real and imaginary parts side by side
-            for o, mass in enumerate(np.einsum("irj,irj->r", parts, parts) @ f.summing):
-                if mass < prune:
-                    pruned += mass
+            before, after = math.prod(shape[:ax]), math.prod(shape[ax + 1:])
+            coeffs = (op @ vecs.reshape(g * before, shape[ax], after)).reshape(
+                g, before, len(op), after
+            )
+            reals = coeffs.view(np.float64)  # real and imaginary parts side by side
+            masses = (np.einsum("girj,girj->gr", reals, reals)[:, None, :] @ f.summing)[:, 0]
+            dropped = masses < prune
+            pruned += np.bincount(comps, np.where(dropped, masses, 0.0).sum(axis=1), count)
+            if s == last:  # the last step builds no coordinates
+                rows, outcomes = np.nonzero(~dropped)
+                keys = prefixes[rows] * width + outcomes
+                grown.append((comps[rows], keys, masses[rows, outcomes]))
+                continue
+            for o, (start, r) in enumerate(zip(f.starts.tolist(), f.ranks.tolist())):
+                kept = ~dropped[:, o]
+                if not kept.any():
                     continue
-                s, r = f.starts[o], f.ranks[o]
+                rows, n = (slice(None), g) if kept.all() else (kept, int(kept.sum()))
                 grown.append((
-                    prefix + ((m.party, m.outcomes[o]),),
-                    coeffs[:, s:s + r, :].reshape(shape[:ax] + (r,) + shape[ax + 1:]),
-                    bases[:ax] + (f.isometries[o],) + bases[ax + 1:],
-                    float(mass),
+                    coeffs[rows, :, start:start + r, :].reshape(
+                        (n,) + shape[:ax] + (r,) + shape[ax + 1:]
+                    ),
+                    comps[rows],
+                    prefixes[rows] * width + o,
+                    [p * width + o for p in ids],
                 ))
-        branches = grown
-    return {prefix: mass for prefix, _, _, mass in branches}, float(pruned)
+        if not grown:
+            return [{} for _ in range(count)], pruned
+        if s == last:
+            break
+        reached, renumbered = np.unique(
+            np.concatenate([c[2] for c in grown]), return_inverse=True
+        )
+        reached = reached.tolist()
+        number = {k: i for i, k in enumerate(reached)}
+        grown_bases = []
+        for p, o in (divmod(k, width) for k in reached):
+            mid = chosen[p]
+            ax = plan.axis[mid]
+            grown_bases.append(bases[p][:ax] + (plan.first_key[mid] + o,) + bases[p][ax + 1:])
+        bases = grown_bases
+        transcripts = [name(k) for k in reached]
+        level = []
+        start = 0
+        for vecs, comps, keys, children in grown:
+            level.append((
+                vecs, comps, renumbered[start:start + len(comps)],
+                [number[k] for k in children if k in number],
+            ))
+            start += len(comps)
+    comps, keys, masses = (np.concatenate(x) for x in zip(*grown))
+    order = np.lexsort((keys, comps))
+    bounds = np.searchsorted(comps[order], np.arange(count + 1)).tolist()
+    keys = keys[order].tolist()
+    named = {k: name(k) for k in set(keys)}
+    leaves = [named[k] for k in keys]
+    values = masses[order].tolist()
+    return [dict(zip(leaves[a:b], values[a:b])) for a, b in zip(bounds[:-1], bounds[1:])], pruned
 
 
 def run_exact(
@@ -275,19 +404,23 @@ def run_exact(
 ) -> SimulationReport:
     """Propagate every branch of the protocol against every hypothesis.
 
-    Each pure ordering of a hypothesis runs separately and the hypothesis's
-    distribution is their average, so the per-ordering distributions used by
-    the order-blindness check come out of the same pass; the dense mixed
-    state is never formed. Hypotheses are streamed: each one's components
-    are built when it is reached and dropped before the next, so memory
-    holds one subset's k! stacked vectors, not the ensemble's. Components
-    are party-major by construction, so each row is reshaped in place to
-    one axis per party, in layout order. Outcomes below ``prune``
+    Each pure ordering of a hypothesis is followed on its own branches and
+    the hypothesis's distribution is their average, so the per-ordering
+    distributions used by the order-blindness check come out of the same
+    pass; the dense mixed state is never formed. Outcomes below ``prune``
     are dropped as exactly zero; their mass is reported in ``pruned_mass``.
     The threshold applies to each ordering's branches, not to the mixed
     state's: a branch pruned under some orderings keeps only the others'
     share of the average. Either way every transcript's probability moves
     by less than ``prune``, so at the default the two agree within 1e-12.
+
+    Hypotheses are streamed in chunks. A chunk gathers consecutive
+    hypotheses on one state set while their orderings hold at most 2**14
+    stacked amplitudes together (256 KiB), and always holds at least one
+    hypothesis; its rows are built at once by :func:`stacked_rows` and
+    dropped before the next chunk, so memory holds one chunk's stacked
+    vectors, never the ensemble's. Rows are party-major by construction, so
+    each is reshaped in place to one axis per party, in layout order.
 
     Each projector is factored once per call, P_o = W_o W_o^†, with W_o the
     eigenvectors of P_o whose eigenvalues exceed 1/2, and the W_o^† of a
@@ -296,6 +429,16 @@ def run_exact(
     branch keeps only its coordinates in range(W_o): that party's axis
     shrinks from its dimension to rank(P_o), and a later measurement of the
     same party acts there through W'^† W_o.
+
+    The walk goes level by level, one step at a time, over rows: a row is
+    one (ordering, branch) pair of the chunk. Each row picks its step's
+    measurement from its own transcript prefix, and the rows that share
+    that measurement, the isometry the measured party's axis sits in and
+    their shape form one group, measured by one matmul and one mass
+    reduction. Pruning still acts on each row alone, and the last step
+    computes masses only. Every row runs the arithmetic its ordering would
+    run alone, and each ordering's transcripts are listed in lexicographic
+    order of their outcome indices, step by step.
 
     Soundness: W_o^† W_o = I, so ||P_o psi|| = ||W_o^† psi||; and a later
     projector acts as P' W_o c = W' (W'^† W_o c), so by induction every
@@ -316,29 +459,28 @@ def run_exact(
     checked = validate(protocol)
     if not checked.ok:
         raise ValueError(f"{checked.location}: {checked.message}")
-    factored = {
-        m: _Factored.of(m) for step in protocol.steps for _, m in step.all_measurements()
-    }
     parties = layout.parties
     sizes = tuple(layout.party_dim(p) for p in parties)
-    axes = {p: i for i, p in enumerate(parties)}
+    plan = _Plan(protocol, {p: i for i, p in enumerate(parties)})
 
     distributions = []
     by_component = []
     pruned_mass = []
-    for h in hypotheses:
-        runs = [
-            _run_pure(protocol, axes, factored, row.reshape(sizes), prune)
-            for row in h.components
-        ]
-        comp_dists = tuple(d for d, _ in runs)
-        merged: dict = {}
-        for d in comp_dists:
-            for t, p in d.items():
-                merged[t] = merged.get(t, 0.0) + p / len(comp_dists)
-        distributions.append(merged)
-        by_component.append(comp_dists)
-        pruned_mass.append(sum(p / len(runs) for _, p in runs))
+    for chunk in _chunks(hypotheses, layout.dim):
+        amps = stacked_rows(chunk[0].state_set, [o for h in chunk for o in h.orderings])
+        dists, pruned = _walk(plan, amps.reshape((-1,) + sizes), prune)
+        start = 0
+        for h in chunk:
+            stop = start + math.factorial(len(h.subset_indices))
+            comp_dists = tuple(dists[start:stop])
+            merged: dict = {}
+            for d in comp_dists:
+                for t, p in d.items():
+                    merged[t] = merged.get(t, 0.0) + p / len(comp_dists)
+            distributions.append(merged)
+            by_component.append(comp_dists)
+            pruned_mass.append(sum(p / len(comp_dists) for p in pruned[start:stop].tolist()))
+            start = stop
     return SimulationReport(
         hypotheses, tuple(distributions), tuple(by_component), tuple(pruned_mass)
     )

@@ -13,12 +13,15 @@ the rho_i.
 
 A :class:`MixedHypothesis` is light: it names its subset and its state set,
 and builds the k! stacked amplitude vectors as one (k!, dim) array each time
-``components`` is read, by broadcasting the members' amplitude rows straight
-into the party-major layout of :func:`stacked_layout`. Nothing is cached, so
-a simulation that reads one hypothesis at a time holds one subset's
-components, never the ensemble's. :func:`stacked_state` builds a single
-ordering the long way (copy relabelling, Kronecker products and a factor
-permutation) and serves as the independent reference for those rows.
+``components`` is read. :func:`stacked_rows` is the one place those rows are
+made: it broadcasts the members' amplitude rows straight into the
+party-major layout of :func:`stacked_layout`, for any list of orderings, so
+a simulation can build the rows of several consecutive hypotheses at once.
+Nothing is cached, so a simulation that builds a bounded chunk of
+hypotheses at a time holds that chunk's rows, never the ensemble's.
+:func:`stacked_state` builds a single ordering the long way (copy
+relabelling, Kronecker products and a factor permutation) and serves as the
+independent reference for those rows.
 """
 
 from __future__ import annotations
@@ -228,25 +231,32 @@ class MixedHypothesis:
     @property
     def components(self) -> np.ndarray:
         """Read-only (k!, dim) complex128 array: row m is the party-major
-        stacked state of the m-th ordering.
+        stacked state of the m-th ordering, built by :func:`stacked_rows` on
+        every access and not kept."""
+        return stacked_rows(self.state_set, self.orderings)
 
-        Built on every access and not kept. Each copy t's member rows are
-        broadcast onto the factors (party, t) and the k copies multiplied
-        out, with no Kronecker product and no factor permutation.
-        """
-        orders = np.array(self.orderings)
-        count, k = orders.shape
-        dims = self.state_set.layout.dims
-        rows = self.state_set.amplitudes
-        out = reduce(np.multiply, (
-            rows[orders[:, t]].reshape((count,) + tuple(
-                d if s == t else 1 for d in dims for s in range(k)
-            ))
-            for t in range(k)
+
+def stacked_rows(state_set: StateSet, orders: Sequence[Sequence[int]]) -> np.ndarray:
+    """Read-only (count, dim) complex128 array: row m is the party-major
+    stacked state of ``orders[m]``, which lists one member index per copy.
+
+    Each copy t's member rows are broadcast onto the factors (party, t) and
+    the k copies multiplied out, with no Kronecker product and no factor
+    permutation. The orderings may come from several subsets of one size.
+    """
+    orders = np.array(orders)
+    count, k = orders.shape
+    dims = state_set.layout.dims
+    rows = state_set.amplitudes
+    out = reduce(np.multiply, (
+        rows[orders[:, t]].reshape((count,) + tuple(
+            d if s == t else 1 for d in dims for s in range(k)
         ))
-        out = out.reshape(count, -1)
-        out.flags.writeable = False
-        return out
+        for t in range(k)
+    ))
+    out = out.reshape(count, -1)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)

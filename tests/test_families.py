@@ -25,7 +25,7 @@ from subsetid import (
     named_states,
 )
 from subsetid.errors import NoConnectingUnitaryError
-from subsetid.families import gamma, weyl_unitary
+from subsetid.families import _unitarity_bound, gamma, weyl_unitary
 from subsetid.statespace import Factor, Layout, StateVector, qubit_layout
 
 SQ2 = 1.0 / math.sqrt(2)
@@ -210,6 +210,21 @@ class TestNearTolerance:
         if ranks:
             assert ranks in str(info.value)
 
+    def test_a_tiny_kept_coefficient_still_connects(self):
+        # Schmidt coefficients (1, 5e-9) on 2x3: the pseudo-inverse amplifies
+        # the rotated state's rounding to a defect near 1e-8, past a fixed
+        # 1e-9 bound, though a unitary does connect the pair
+        rng = np.random.default_rng(0)
+        q, v, w = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+                   for n in (3, 3, 2))
+        m = w @ np.diag([math.sqrt(1 - 25e-18), 5e-9]) @ v[:2, :]
+        src, dst = _two_party_state(m), _two_party_state(m @ q.T)
+        u = connecting_unitary(src, dst, AB)
+        defect = np.max(np.abs(u.conj().T @ u - np.eye(3)))
+        bound = _unitarity_bound(cut_factors(src, AB))
+        assert 1e-9 < defect <= bound < 1e-5
+        assert np.linalg.norm(cut_matrix(src, AB) @ u.T - cut_matrix(dst, AB)) <= bound
+
     @pytest.mark.parametrize("src_eps, dst_eps", [(1e-12, 1e-12), (5e-10, 2e-9)])
     def test_coefficients_at_or_below_tol_count_as_zero(self, src_eps, dst_eps):
         src, dst = _schmidt_state(src_eps), _schmidt_state(dst_eps, right=(2, 0, 1))
@@ -274,20 +289,21 @@ def test_both_forms_fail_alike_on_the_crossed_cut():
 def rotated_pairs(draw):
     """A random 2x3 or 3x3 state and the same state under a random unitary on B.
 
-    The unitary is the Q of a drawn matrix's QR. Schmidt coefficients between
-    1e-10 and 1e-6 are left out: there the rounding of the rotated state,
-    amplified by one over the coefficient, or the coefficient itself, which
-    counts as zero, can exceed the 1e-9 the property asks for.
+    The unitary is the Q of a drawn matrix's QR. One row of the state may be
+    scaled by a log-uniform factor down to 1e-12 before a Fourier matrix on A
+    mixes the rows, so Schmidt coefficients run over the whole range around
+    tol, 1e-10..1e-6 included, where the rounding of the rotated state is
+    amplified by one over the smallest kept coefficient.
     """
     dl = draw(st.sampled_from([2, 3]))
     parts = st.floats(-1.0, 1.0, allow_nan=False)
     x = np.array(draw(st.lists(parts, min_size=6 * dl, max_size=6 * dl)))
     m = (x[: 3 * dl] + 1j * x[3 * dl :]).reshape(dl, 3)
+    m[-1] *= draw(st.sampled_from([1.0]) | st.floats(-12, -5).map(lambda e: 10.0 ** e))
+    m = np.fft.fft(np.eye(dl)) @ m  # mixes the small row into every row
     norm = np.linalg.norm(m)
     assume(norm > 0.1)
     m = m / norm
-    s = np.linalg.svd(m, compute_uv=False)
-    assume(np.all((s >= 1e-6) | (s <= 1e-10)))
     y = np.array(draw(st.lists(parts, min_size=18, max_size=18)))
     q, _ = np.linalg.qr((y[:9] + 1j * y[9:]).reshape(3, 3))
     return _two_party_state(m), _two_party_state(m @ q.T)
@@ -300,5 +316,11 @@ def test_both_forms_connect_a_rotated_pair(pair):
     by_state = connecting_unitary(src, dst, AB)
     by_factors = connecting_unitary(cut_factors(src, AB), cut_factors(dst, AB), AB)
     assert np.array_equal(by_state, by_factors)
-    assert np.max(np.abs(by_state.conj().T @ by_state - np.eye(3))) < 1e-9
-    assert np.linalg.norm(cut_matrix(src, AB) @ by_state.T - cut_matrix(dst, AB)) < 1e-9
+    # unitary up to the rounding the pseudo-inverse amplifies; off by at
+    # most the coefficients that count as zero, in both states, and that
+    bound = _unitarity_bound(cut_factors(src, AB))
+    assert np.max(np.abs(by_state.conj().T @ by_state - np.eye(3))) <= bound
+    s = np.linalg.svd(cut_matrix(src, AB), compute_uv=False)
+    dropped = 2 * np.linalg.norm(s[s <= ATOL])
+    residual = np.linalg.norm(cut_matrix(src, AB) @ by_state.T - cut_matrix(dst, AB))
+    assert residual <= dropped + bound

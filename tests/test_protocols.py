@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dense_reference import dense_rho
+from dense_reference import dense_rho, per_ordering_run
 from subsetid import (
     ATOL,
     Classifier,
@@ -23,6 +23,7 @@ from subsetid import (
     derive_classifier,
     format_transcript,
     ges_basis,
+    ghz3_basis,
     hypothesis_ensemble,
     named_states,
     order_blindness,
@@ -33,7 +34,7 @@ from subsetid import (
 )
 from subsetid.acceptance import _EXPECTED_SUPPORT
 from subsetid.errors import AmbiguityError, CoverageError, LocalityError
-from subsetid.protocols import PRUNE_TOL
+from subsetid.protocols import PROTOCOLS, PRUNE_TOL, _chunks
 
 
 def bell32_report():
@@ -187,6 +188,55 @@ class TestRunExact:
         assert len(report.distributions) == 560
         assert peak < 20 * 2 ** 20
 
+    def test_memory_holds_one_chunk_at_a_time(self):
+        # ges(4) k=2 has 120 subsets of 2 stacked states of dimension 256, so
+        # a chunk of 2**14 amplitudes (256 KiB) holds 32 of them. The walk
+        # peaks near 1.7 MiB, the report's 3,840 leaves included; the whole
+        # ensemble in one chunk peaks near 5 MiB. Bound: 2.5 MiB.
+        task = SubsetTask(ges_basis(4), 2)
+        hypotheses = hypothesis_ensemble(task)
+        assert len(next(_chunks(hypotheses, task.stacked_dim))) == 32
+        tracemalloc.start()
+        try:
+            report = run_exact(_every_party(ges_basis(4), "AB"), hypotheses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(d) for comps in report.by_component for d in comps) == 3840
+        assert peak < 2.5 * 2 ** 20
+
+
+def _every_party(basis, parties):
+    """Each party in turn measures its whole block along ``basis``."""
+    return Protocol(
+        "every-party", tuple(ProtocolStep(basis_measurement(p, basis.states)) for p in parties)
+    )
+
+
+_ENSEMBLES = {
+    "ghz3-k2": lambda: (SubsetTask(ghz3_basis(), 2), _every_party(bell_basis(), "ABC")),
+    "ges3-k2": lambda: (SubsetTask(ges_basis(3), 2), _every_party(ges_basis(3), "AB")),
+    "bell-k2": lambda: (SubsetTask(bell_basis(), 2), PROTOCOLS["bell32"]()),
+    "bell-k3": lambda: (SubsetTask(bell_basis(), 3), PROTOCOLS["bell43"]()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENSEMBLES))
+def test_an_ensemble_runs_as_its_hypotheses_alone(name):
+    """Chunking never shows: hypotheses that share a chunk come out as
+    they do alone, transcript order and bits included."""
+    task, protocol = _ENSEMBLES[name]()
+    hypotheses = hypothesis_ensemble(task)
+    assert len(next(_chunks(hypotheses, task.stacked_dim))) > 1
+    whole = run_exact(protocol, hypotheses)
+    for i, h in enumerate(hypotheses):
+        alone = run_exact(protocol, [h])
+        assert list(whole.distributions[i].items()) == list(alone.distributions[0].items())
+        assert [list(d.items()) for d in whole.by_component[i]] == [
+            list(d.items()) for d in alone.by_component[0]
+        ]
+        assert abs(whole.pruned_mass[i] - alone.pruned_mass[0]) <= 1e-15
+
 
 def _random_measurement(party, dim, outcomes, rng):
     """A random-unitary basis coarse-grained into ``outcomes`` projectors,
@@ -272,6 +322,24 @@ def test_run_exact_matches_the_dense_reference(case):
         for t in set(dist) | set(dense):
             assert dist.get(t, 0.0) == pytest.approx(dense.get(t, 0.0), abs=1e-12)
         assert pruned == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_runs(), st.sampled_from([PRUNE_TOL, 0.05, 0.0]))
+def test_run_exact_matches_the_per_ordering_walk(case, prune):
+    """Grouping rows across orderings, branches and hypotheses never
+    shows: each ordering lists the same transcripts, in the same order, at
+    the same probabilities as when walked alone, one branch at a time."""
+    protocol, task = case
+    hypotheses = hypothesis_ensemble(task)
+    report = run_exact(protocol, hypotheses, prune=prune)
+    distributions, by_component, pruned_mass = per_ordering_run(protocol, hypotheses, prune)
+    got = list(report.distributions) + [d for comps in report.by_component for d in comps]
+    want = distributions + [d for comps in by_component for d in comps]
+    # every row runs its ordering's arithmetic, so the leaves are equal; the
+    # pruned masses are summed in another order, so they agree within 1e-15
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+    assert all(abs(a - b) <= 1e-15 for a, b in zip(report.pruned_mass, pruned_mass))
 
 
 class TestIdentification:

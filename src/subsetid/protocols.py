@@ -36,7 +36,6 @@ from .subsets import (
     StateSet,
     SubsetTask,
     hypothesis_ensemble,
-    rho_subset,
     stacked_rows,
 )
 
@@ -96,6 +95,8 @@ class Measurement:
         """Description of the first broken measurement invariant, if any."""
         d = self.dim
         for i, p in enumerate(self.projectors):
+            if not np.isfinite(p).all():
+                return f"projector {i} has a non-finite entry"
             dev = float(np.max(np.abs(p - p.conj().T)))
             if dev > tol:
                 return f"projector {i} is not Hermitian (deviation {dev:.3e})"
@@ -259,82 +260,31 @@ def _chunks(hypotheses: Sequence[MixedHypothesis], dim: int):
     yield chunk
 
 
-class _Plan:
-    """Tables of one protocol that every chunk's walk shares.
-
-    Measurements are numbered in order of first appearance; ``factored``,
-    ``axis`` (the measured party's axis) and ``first_key`` go by that
-    number. Isometry key ``first_key[i] + o`` stands for outcome o of
-    measurement i, ``isometries[key - 1]``; key 0 for a party not yet
-    measured. ``width`` bounds every outcome count, so a child transcript's
-    key is its parent's index times ``width`` plus its outcome index.
-    """
-
-    def __init__(self, protocol: Protocol, axes: dict):
-        self.steps = protocol.steps
-        self.measurements = list(dict.fromkeys(
-            m for step in protocol.steps for _, m in step.all_measurements()
-        ))
-        self.index = {m: i for i, m in enumerate(self.measurements)}
-        self.factored = [_Factored.of(m) for m in self.measurements]
-        self.axis = [axes[m.party] for m in self.measurements]
-        self.isometries = [w for f in self.factored for w in f.isometries]
-        self.first_key = np.cumsum([1] + [len(m.outcomes) for m in self.measurements]).tolist()
-        self.width = max(len(m.outcomes) for m in self.measurements)
-
-
-def _walk(plan: _Plan, amps: np.ndarray, prune: float):
+def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
     """Every component's transcript distribution and the mass pruning dropped.
 
     ``amps`` holds one component per row, with one axis per party after the
-    row axis (party-major). A row of the walk is one (component, branch)
-    pair; it carries its coordinates, its component and the index of its
-    transcript among those reached at this level, which are numbered in
-    lexicographic order of their outcome indices. Everything that decides
-    a row's group is a function of its transcript: the measurement chosen,
-    and per axis the isometry key its party was last measured in, so those
-    are kept once per transcript. A block of rows shares one shape and
-    lists its transcripts; all rows of one transcript sit in one block.
+    row axis (party-major); ``axes[party]`` is the party's axis. A node of
+    the walk is one transcript: it holds, one row each, the coordinates of
+    every component that reached it, their component ids, and per axis the
+    isometry its party was last measured in (None: not yet measured). A
+    component reaches a node at most once, and children are listed parent
+    first, then outcome by outcome, so every component's dict fills in
+    lexicographic order of its outcome indices.
     """
-    width = plan.width
     count = len(amps)
-    last = len(plan.steps) - 1
+    last = len(steps) - 1
     pruned = np.zeros(count)
-    transcripts: list[Transcript] = [()]
-    bases = [(0,) * (amps.ndim - 1)]
-    level = [(amps, np.arange(count), np.zeros(count, dtype=np.intp), [0])]
-
-    def name(key: int) -> Transcript:
-        p, o = divmod(key, width)
-        m = plan.measurements[chosen[p]]
-        return transcripts[p] + ((m.party, m.outcomes[o]),)
-
-    for s, step in enumerate(plan.steps):
-        chosen = [plan.index[step.choose(t)] for t in transcripts]
-        key = [(mid, bases[p][plan.axis[mid]]) for p, mid in enumerate(chosen)]
-        # rows sharing the measurement, the measured axis's isometry and the shape
-        groups: dict = {}
-        for block in level:
-            vecs, _, prefixes, ids = block
-            distinct = dict.fromkeys(key[p] for p in ids)
-            for k in distinct:
-                part = block
-                if len(distinct) > 1:
-                    mine = [p for p in ids if key[p] == k]
-                    rows = np.isin(prefixes, mine)
-                    part = (vecs[rows], block[1][rows], prefixes[rows], mine)
-                groups.setdefault(k + (vecs.shape[1:],), []).append(part)
+    dists: list[dict] = [{} for _ in range(count)]
+    nodes = [((), amps, np.arange(count), (None,) * (amps.ndim - 1))]
+    for s, step in enumerate(steps):
         grown = []
-        for (mid, basis, shape), parts in groups.items():
-            vecs, comps, prefixes = (
-                parts[0][:3] if len(parts) == 1
-                else (np.concatenate(x) for x in tuple(zip(*parts))[:3])
-            )
-            ids = [p for part in parts for p in part[3]]
-            f = plan.factored[mid]
-            ax = plan.axis[mid]
-            op = f.adjoint if basis == 0 else f.adjoint @ plan.isometries[basis - 1]
-            g = len(vecs)
+        for prefix, vecs, comps, bases in nodes:
+            m = step.choose(prefix)
+            f = factored[m]
+            ax = axes[m.party]
+            op = f.adjoint if bases[ax] is None else f.adjoint @ bases[ax]
+            g, shape = len(vecs), vecs.shape[1:]
             # explicit sizes: an axis may have shrunk to a zero projector's rank 0
             before, after = math.prod(shape[:ax]), math.prod(shape[ax + 1:])
             coeffs = (op @ vecs.reshape(g * before, shape[ax], after)).reshape(
@@ -343,57 +293,28 @@ def _walk(plan: _Plan, amps: np.ndarray, prune: float):
             reals = coeffs.view(np.float64)  # real and imaginary parts side by side
             masses = (np.einsum("girj,girj->gr", reals, reals)[:, None, :] @ f.summing)[:, 0]
             dropped = masses < prune
-            pruned += np.bincount(comps, np.where(dropped, masses, 0.0).sum(axis=1), count)
+            pruned[comps] += np.where(dropped, masses, 0.0).sum(axis=1)
+            labels = [prefix + ((m.party, o),) for o in m.outcomes]
             if s == last:  # the last step builds no coordinates
                 rows, outcomes = np.nonzero(~dropped)
-                keys = prefixes[rows] * width + outcomes
-                grown.append((comps[rows], keys, masses[rows, outcomes]))
+                for c, o, p in zip(comps[rows].tolist(), outcomes.tolist(),
+                                   masses[rows, outcomes].tolist()):
+                    dists[c][labels[o]] = p
                 continue
             for o, (start, r) in enumerate(zip(f.starts.tolist(), f.ranks.tolist())):
                 kept = ~dropped[:, o]
-                if not kept.any():
-                    continue
-                rows, n = (slice(None), g) if kept.all() else (kept, int(kept.sum()))
-                grown.append((
-                    coeffs[rows, :, start:start + r, :].reshape(
-                        (n,) + shape[:ax] + (r,) + shape[ax + 1:]
-                    ),
-                    comps[rows],
-                    prefixes[rows] * width + o,
-                    [p * width + o for p in ids],
-                ))
-        if not grown:
-            return [{} for _ in range(count)], pruned
-        if s == last:
-            break
-        reached, renumbered = np.unique(
-            np.concatenate([c[2] for c in grown]), return_inverse=True
-        )
-        reached = reached.tolist()
-        number = {k: i for i, k in enumerate(reached)}
-        grown_bases = []
-        for p, o in (divmod(k, width) for k in reached):
-            mid = chosen[p]
-            ax = plan.axis[mid]
-            grown_bases.append(bases[p][:ax] + (plan.first_key[mid] + o,) + bases[p][ax + 1:])
-        bases = grown_bases
-        transcripts = [name(k) for k in reached]
-        level = []
-        start = 0
-        for vecs, comps, keys, children in grown:
-            level.append((
-                vecs, comps, renumbered[start:start + len(comps)],
-                [number[k] for k in children if k in number],
-            ))
-            start += len(comps)
-    comps, keys, masses = (np.concatenate(x) for x in zip(*grown))
-    order = np.lexsort((keys, comps))
-    bounds = np.searchsorted(comps[order], np.arange(count + 1)).tolist()
-    keys = keys[order].tolist()
-    named = {k: name(k) for k in set(keys)}
-    leaves = [named[k] for k in keys]
-    values = masses[order].tolist()
-    return [dict(zip(leaves[a:b], values[a:b])) for a, b in zip(bounds[:-1], bounds[1:])], pruned
+                if kept.any():
+                    mine = comps[kept]
+                    grown.append((
+                        labels[o],
+                        coeffs[kept, :, start:start + r, :].reshape(
+                            (len(mine),) + shape[:ax] + (r,) + shape[ax + 1:]
+                        ),
+                        mine,
+                        bases[:ax] + (f.isometries[o],) + bases[ax + 1:],
+                    ))
+        nodes = grown
+    return dists, pruned
 
 
 def run_exact(
@@ -430,15 +351,15 @@ def run_exact(
     shrinks from its dimension to rank(P_o), and a later measurement of the
     same party acts there through W'^† W_o.
 
-    The walk goes level by level, one step at a time, over rows: a row is
-    one (ordering, branch) pair of the chunk. Each row picks its step's
-    measurement from its own transcript prefix, and the rows that share
-    that measurement, the isometry the measured party's axis sits in and
-    their shape form one group, measured by one matmul and one mass
-    reduction. Pruning still acts on each row alone, and the last step
-    computes masses only. Every row runs the arithmetic its ordering would
-    run alone, and each ordering's transcripts are listed in lexicographic
-    order of their outcome indices, step by step.
+    The walk goes over the chunk's transcript tree one node at a time. A
+    node is one transcript prefix together with every ordering of the
+    chunk that reached it; the prefix picks the step's measurement, and one
+    matmul and one mass reduction measure all of the node's orderings at
+    once. Pruning still acts on each ordering alone, and the last step
+    computes masses only. Every ordering runs the arithmetic it would run
+    alone, and children are listed parent first, then outcome by outcome,
+    so each ordering's transcripts come in lexicographic order of their
+    outcome indices.
 
     Soundness: W_o^† W_o = I, so ||P_o psi|| = ||W_o^† psi||; and a later
     projector acts as P' W_o c = W' (W'^† W_o c), so by induction every
@@ -461,14 +382,17 @@ def run_exact(
         raise ValueError(f"{checked.location}: {checked.message}")
     parties = layout.parties
     sizes = tuple(layout.party_dim(p) for p in parties)
-    plan = _Plan(protocol, {p: i for i, p in enumerate(parties)})
+    factored = {
+        m: _Factored.of(m) for step in protocol.steps for _, m in step.all_measurements()
+    }
+    axes = {p: i for i, p in enumerate(parties)}
 
     distributions = []
     by_component = []
     pruned_mass = []
     for chunk in _chunks(hypotheses, layout.dim):
         amps = stacked_rows(chunk[0].state_set, [o for h in chunk for o in h.orderings])
-        dists, pruned = _walk(plan, amps.reshape((-1,) + sizes), prune)
+        dists, pruned = _walk(protocol.steps, factored, axes, amps.reshape((-1,) + sizes), prune)
         start = 0
         for h in chunk:
             stop = start + math.factorial(len(h.subset_indices))
@@ -555,12 +479,6 @@ def order_blindness_verdict(report: SimulationReport, tol: float = ATOL) -> Verd
     if worst <= tol:
         return Verdict(True)
     return Verdict(False, witness)
-
-
-def order_blindness(protocol: Protocol, task: SubsetTask, subset: Sequence[int], tol: float = ATOL) -> bool:
-    """True when the protocol cannot tell the orderings of this subset apart."""
-    report = run_exact(protocol, [rho_subset(task, tuple(subset))])
-    return order_blindness_verdict(report, tol).ok
 
 
 def derive_classifier(report: SimulationReport, *, on_ambiguity: str = "error") -> Classifier:

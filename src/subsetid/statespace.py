@@ -110,7 +110,7 @@ class StateVector:
                 f"amplitude vector has length {amps.size}, layout needs {self.layout.dim}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:  # also refuses a NaN norm
             raise ValueError(f"state vector is not normalized (norm={norm!r})")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

@@ -5,10 +5,11 @@ ordering's pure component and reads every cut statement off the amplitude
 matrix across the cut. These helpers build the dense objects the textbook
 way, independently of that code, so tests can compare the two routes.
 
-:func:`per_ordering_run` keeps the walk ``run_exact`` made before it went
-level by level over batched rows: one ordering and one branch at a time,
-with the same factored projectors. Batching must not show in the results,
-so its transcripts, their order and their probabilities are the reference.
+:func:`per_ordering_run` walks one ordering and one branch at a time, with
+the same factored projectors. ``run_exact`` runs the same walk with every
+ordering of a chunk that reached a transcript batched into that node's
+rows. Batching must not show in the results, so the transcripts, their
+order and their probabilities of this walk are the reference.
 """
 
 import math

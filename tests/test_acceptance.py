@@ -19,3 +19,24 @@ def test_criterion(cid, title, check):
     ok, detail = check()
     print(f"{'PASS' if ok else 'FAIL'} {cid} {title}: {detail}")
     assert ok, f"{cid} {title}: {detail}"
+
+
+#: what the refuted criteria must keep reporting while the computation
+#: stands: c09's failing cut, and c10's misidentified transcript and order
+#: leak
+WITNESSES = {
+    "c09": ["AC:BD: PremiseFails (failing premises: equal-identity-side-reductions)"],
+    "c10": [
+        "'hypothesis': (0, 2, 3), 'transcript': 'A:1 B:4'",
+        "'ordering_a': (0, 1, 2), 'ordering_b': (0, 2, 1)",
+    ],
+}
+
+
+@pytest.mark.parametrize("cid", sorted(WITNESSES))
+def test_refuted_criteria_keep_their_witnesses(cid):
+    check = {c: fn for c, _, fn in CRITERIA}[cid]
+    ok, detail = check()
+    assert not ok
+    for witness in WITNESSES[cid]:
+        assert witness in detail

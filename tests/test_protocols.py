@@ -26,9 +26,9 @@ from subsetid import (
     ghz3_basis,
     hypothesis_ensemble,
     named_states,
-    order_blindness,
     order_blindness_verdict,
     perfect_identification,
+    rho_subset,
     run_exact,
     validate,
 )
@@ -126,6 +126,30 @@ class TestValidate:
         task = SubsetTask(bell_basis(), 2)
         with pytest.raises(ValueError, match=r"^step 2 \(party B\): .*identity"):
             run_exact(broken_protocol(), hypothesis_ensemble(task))
+
+    @staticmethod
+    def non_finite_protocol(entry):
+        """Step 1 measures ``diag(entry, ..., entry)``; step 2 is sound."""
+        return Protocol(
+            "non-finite",
+            (
+                ProtocolStep(Measurement("A", (np.diag([entry] * 4),))),
+                ProtocolStep(basis_measurement("B", np.eye(4))),
+            ),
+        )
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_locates_a_non_finite_projector(self, entry):
+        report = validate(self.non_finite_protocol(entry))
+        assert not report.ok
+        assert report.location == "step 1 (party A)"
+        assert report.message == "projector 0 has a non-finite entry"
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_run_exact_refuses_a_non_finite_projector(self, entry):
+        task = SubsetTask(bell_basis(), 2)
+        with pytest.raises(ValueError, match=r"^step 1 \(party A\): projector 0 has a non-finite"):
+            run_exact(self.non_finite_protocol(entry), hypothesis_ensemble(task))
 
 
 class TestLocality:
@@ -353,7 +377,7 @@ class TestIdentification:
     def test_order_blindness_convenience(self):
         protocol, _ = builtin_bell32_variants()
         task = SubsetTask(named_states(["B1", "B2", "B3"]), 2)
-        assert order_blindness(protocol, task, (0, 2))
+        assert order_blindness_verdict(run_exact(protocol, [rho_subset(task, (0, 2))])).ok
 
     def test_coverage_error_names_the_transcript(self):
         report, _ = bell32_report()

@@ -64,6 +64,10 @@ class TestStateVector:
         with pytest.raises(ValueError, match="not normalized"):
             StateVector(qubit_layout("A", "B"), [1, 0, 0, 1])
 
+    def test_nan_amplitude_refused(self):
+        with pytest.raises(ValueError, match=r"not normalized .*nan"):
+            StateVector(qubit_layout("A", "B"), [np.nan, 0, 0, 0])
+
     def test_length_checked(self):
         with pytest.raises(ValueError, match="length 3"):
             StateVector(qubit_layout("A", "B"), [1, 0, 0])

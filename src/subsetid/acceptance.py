@@ -27,7 +27,6 @@ from .certificates import (
     all_bipartitions,
     certify_cut,
     certify_genuine,
-    certify_basis_pairs,
     max_hypothesis_overlap,
 )
 from .engine import execute, render_structured
@@ -201,8 +200,9 @@ def check_counting_scan():
 
 
 def check_basis_pair_family():
+    # kappa = C(d^2, 2) = d^2 (d^2 - 1) / 2 > d^2 for every d >= 2
     for d in (2, 3, 4):
-        cert = certify_basis_pairs(d)
+        cert = certify_cut(CertificateRequest(ges_basis(d), 2, _ab_cut()))
         if cert.verdict != CERTIFIED:
             return False, f"d={d}: {cert.verdict} with kappa {cert.kappa}, bound {cert.bound}"
         if cert.kappa != comb(d * d, 2) or cert.bound != d * d:
@@ -226,7 +226,7 @@ def check_connecting_unitaries():
             factors = [cut_factors(s, cut) for s in state_set.states]
             for src in factors:
                 for dst in factors:
-                    u = connecting_unitary(src, dst, cut)
+                    u = connecting_unitary(src, dst)
                     worst = max(worst, float(np.linalg.norm(src.matrix @ u.T - dst.matrix)))
                     count += 1
     if worst > 1e-9:

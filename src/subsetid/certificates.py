@@ -65,7 +65,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ResourceLimitError
-from .families import ges_basis
 from .statespace import ATOL, Cut, cut_matrix, is_maximally_entangled
 from .subsets import (
     DEFAULT_MAX_DIM,
@@ -335,15 +334,3 @@ def certify_genuine(request: CertificateRequest) -> GenuineResult:
         certify_cut(replace(request, cut=cut), orthogonal=orthogonal) for cut in cuts
     )
     return GenuineResult(certs, aggregate_verdict(c.verdict for c in certs))
-
-
-def certify_basis_pairs(d: int) -> Certificate:
-    """Certify pairs (k = 2) from the complete d-dimensional entangled basis.
-
-    kappa = C(d^2, 2) = d^2 (d^2 - 1) / 2 always exceeds the bound d^2 for
-    d >= 2, so the verdict is Certified for every valid d.
-    """
-    basis = ges_basis(d)
-    return certify_cut(
-        CertificateRequest(basis, 2, Cut.between(("A",), ("B",)))
-    )

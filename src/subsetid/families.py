@@ -12,11 +12,11 @@ Four families are provided, each an orthonormal basis of its space:
 
 Members of one family are related by one-sided unitaries across the cuts on
 which they are maximally entangled; :func:`connecting_unitary` computes such
-a unitary explicitly. Its work per member (cut matrix, reduction,
-pseudo-inverse, SVD and kernel complement) is held in a :class:`CutFactors`
-record from :func:`cut_factors`, so a member that joins many pairs on one cut
-is factored once, not once per pair; the kernel-completion representative
-is the same as when each pair is factored from scratch.
+a unitary explicitly from two :class:`CutFactors` records. A record holds
+one member's work on one cut (cut matrix, reduction, pseudo-inverse, SVD and
+kernel complement), made once by :func:`cut_factors`, so a member that joins
+many pairs on that cut is factored once, not once per pair. Schmidt
+coefficients at or below ``ATOL`` count as zero throughout.
 """
 
 from __future__ import annotations
@@ -56,12 +56,7 @@ def bell(i: int) -> StateVector:
 
 def gamma(d: int) -> StateVector:
     """The canonical maximally entangled state (1/sqrt(d)) sum_j |jj>."""
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
-    amps = np.zeros(d * d, dtype=np.complex128)
-    for j in range(d):
-        amps[j * d + j] = 1.0 / math.sqrt(d)
-    return StateVector(Layout((Factor("A", 1, d), Factor("B", 1, d))), amps)
+    return ges_state(0, 0, d)
 
 
 def weyl_unitary(a: int, b: int, d: int) -> np.ndarray:
@@ -82,13 +77,12 @@ def weyl_unitary(a: int, b: int, d: int) -> np.ndarray:
 
 
 def ges_state(a: int, b: int, d: int) -> StateVector:
-    """(U_ab tensor I) applied to gamma(d); member (a, b) of the d^2-element basis."""
-    base = gamma(d)
-    u = weyl_unitary(a, b, d)
-    amps = np.zeros(d * d, dtype=np.complex128)
-    for j in range(d):
-        amps[((j + a) % d) * d + j] = u[(j + a) % d, j] / math.sqrt(d)
-    return StateVector(base.layout, amps)
+    """(U_ab tensor I) applied to gamma(d); member (a, b) of the d^2-element basis.
+
+    The amplitude of |x j> is U_ab[x, j] / sqrt(d).
+    """
+    amps = weyl_unitary(a, b, d).reshape(-1) / math.sqrt(d)
+    return StateVector(Layout((Factor("A", 1, d), Factor("B", 1, d))), amps)
 
 
 def ghz3(alpha: int) -> StateVector:
@@ -207,15 +201,14 @@ class CutFactors:
     ``matrix`` is the cut matrix M, ``reduction`` the left reduction M M^dagger,
     ``pinv`` the pseudo-inverse of M^T, ``left`` the left singular vectors of
     M^T, ``singular`` its singular values (the Schmidt coefficients, largest
-    first), ``rank`` the number of them above ``tol`` and ``perp`` an
+    first), ``rank`` the number of them above ``ATOL`` and ``perp`` an
     orthonormal basis of the complement of the first ``rank`` of them. The
-    layout, cut and tolerance it was made for are kept so that records made
-    for different ones are never mixed.
+    layout and cut it was made for are kept, so :func:`connecting_unitary`
+    reads the cut from the records and never mixes records of two cuts.
     """
 
     layout: Layout
     cut: Cut
-    tol: float
     matrix: np.ndarray
     reduction: np.ndarray
     pinv: np.ndarray
@@ -225,21 +218,24 @@ class CutFactors:
     perp: np.ndarray
 
 
-def cut_factors(state: StateVector, cut: Cut, tol: float = ATOL) -> CutFactors:
-    """Factor ``state`` across ``cut`` once, for any number of connecting_unitary calls."""
+def cut_factors(state: StateVector, cut: Cut) -> CutFactors:
+    """Factor ``state`` across ``cut`` once, for any number of connecting_unitary calls.
+
+    Schmidt coefficients at or below ``ATOL`` count as zero, in the
+    pseudo-inverse as in the rank.
+    """
     m = cut_matrix(state, cut)
     a = m.T
     left, s, _ = np.linalg.svd(a)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > ATOL))
     return CutFactors(
         layout=state.layout,
         cut=cut,
-        tol=tol,
         matrix=m,
         reduction=m @ m.conj().T,
-        # drops the coefficients at or below tol, as the rank does, so no
+        # drops the coefficients at or below ATOL, as the rank does, so no
         # direction is both inverted and completed on the kernel
-        pinv=np.linalg.pinv(a, rcond=tol / s[0]),
+        pinv=np.linalg.pinv(a, rcond=ATOL / s[0]),
         left=left,
         singular=s,
         rank=rank,
@@ -265,47 +261,37 @@ def _unitarity_bound(src: CutFactors) -> float:
     return max(1e-9, 64 * np.finfo(float).eps * len(src.left) * float(kept[0] / kept[-1]))
 
 
-def connecting_unitary(
-    src: StateVector | CutFactors, dst: StateVector | CutFactors, cut: Cut, tol: float = ATOL
-) -> np.ndarray:
-    """A unitary U on the right side of the cut with (I tensor U) src = dst.
+def connecting_unitary(src: CutFactors, dst: CutFactors) -> np.ndarray:
+    """A unitary U on the right side of the records' cut with (I tensor U) src = dst.
 
-    Such a U exists exactly when src and dst have equal reduced operators on
-    the left side; that is checked first and a NoConnectingUnitaryError names
-    the offending deviation otherwise. U is not unique whenever the Schmidt
-    rank is below the right-side dimension; the returned representative maps
-    the source's right support onto the destination's and is completed on the
-    kernel by orthonormalizing standard basis vectors, so it is deterministic.
+    Both arguments are :func:`cut_factors` records of one layout and one cut;
+    records that differ in either raise ValueError. Such a U exists exactly
+    when the two states have equal reduced operators on the left side; that
+    is checked first, and a NoConnectingUnitaryError names the offending
+    deviation otherwise. U is not unique whenever the Schmidt rank is below
+    the right-side dimension; the returned representative maps the source's
+    right support onto the destination's and is completed on the kernel by
+    orthonormalizing standard basis vectors, so it is deterministic.
 
-    Either argument may be a state or its :func:`cut_factors` record; a state
-    is factored on entry, so both forms run the same arithmetic and return
-    the same representative, bit for bit. Factoring each member once and
-    passing the records saves the per-pair SVDs when one member joins many
-    pairs. Records made for another cut or tolerance, or two records with
-    different layouts, raise ValueError.
-
-    Schmidt coefficients at or below ``tol`` count as zero, in the
-    pseudo-inverse as in the rank, so U connects the states up to them.
-    Reductions that agree within ``tol`` do not guarantee a unitary: Schmidt
-    coefficients too small to show in the reduction may still differ, or fall
-    on opposite sides of ``tol``. When the completed U is not unitary to
-    within :func:`_unitarity_bound`, a NoConnectingUnitaryError names the
-    defect max|U^dagger U - I|, and both Schmidt ranks when they differ.
+    Schmidt coefficients at or below ``ATOL`` count as zero, so U connects
+    the states up to them. Reductions that agree within ``ATOL`` do not
+    guarantee a unitary: Schmidt coefficients too small to show in the
+    reduction may still differ, or fall on opposite sides of ``ATOL``. When
+    the completed U is not unitary to within :func:`_unitarity_bound`, a
+    NoConnectingUnitaryError names the defect max|U^dagger U - I|, and both
+    Schmidt ranks when they differ.
     """
-    if src.layout != dst.layout:
-        raise ValueError("connecting_unitary requires a common layout")
-    src, dst = (f if isinstance(f, CutFactors) else cut_factors(f, cut, tol) for f in (src, dst))
-    for f in (src, dst):
-        if f.cut != cut or f.tol != tol:
-            raise ValueError(
-                f"factors made for cut {f.cut.label(f.layout)} at tol {f.tol:g} cannot "
-                f"be used for cut {cut.label(f.layout)} at tol {tol:g}"
-            )
+    if src.layout != dst.layout or src.cut != dst.cut:
+        raise ValueError(
+            f"connecting_unitary needs records of one layout and cut, got "
+            f"{src.cut.label(src.layout)} and {dst.cut.label(dst.layout)}"
+        )
+    label = src.cut.label(src.layout)
     deviation = float(np.max(np.abs(src.reduction - dst.reduction)))
-    if deviation > tol:
+    if deviation > ATOL:
         raise NoConnectingUnitaryError(
             "left-side reduced operators differ by "
-            f"{deviation:.3e} across {cut.label(src.layout)}; no one-sided "
+            f"{deviation:.3e} across {label}; no one-sided "
             "unitary on the right can connect these states"
         )
     # the completion pairs both kernels at the source's rank, so a rank
@@ -318,8 +304,8 @@ def connecting_unitary(
     if defect > _unitarity_bound(src):
         ranks = f"; Schmidt ranks {src.rank} and {dst.rank}" if src.rank != dst.rank else ""
         raise NoConnectingUnitaryError(
-            f"kernel completion across {cut.label(src.layout)} is not unitary "
+            f"kernel completion across {label} is not unitary "
             f"(max|U^dagger U - I| = {defect:.3e}{ranks}): the left reductions "
-            f"agree within {tol:g} but the Schmidt coefficients do not"
+            f"agree within {ATOL:g} but the Schmidt coefficients do not"
         )
     return u

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AmbiguityError, CoverageError, LocalityError
+from .errors import AmbiguityError, CoverageError, LocalityError, SettingError
 from .families import bell_basis, ghz3_basis, named_states
 from .statespace import ATOL, Layout, StateVector
 from .subsets import (
@@ -330,6 +330,9 @@ def run_exact(
     distributions used by the order-blindness check come out of the same
     pass; the dense mixed state is never formed. Outcomes below ``prune``
     are dropped as exactly zero; their mass is reported in ``pruned_mass``.
+    ``prune`` must lie in [0, 1): at 1 or above every branch would go, and
+    the empty distributions would pass every identification check, so any
+    other value raises SettingError after the locality and validity checks.
     The threshold applies to each ordering's branches, not to the mixed
     state's: a branch pruned under some orderings keeps only the others'
     share of the average. Either way every transcript's probability moves
@@ -380,6 +383,8 @@ def run_exact(
     checked = validate(protocol)
     if not checked.ok:
         raise ValueError(f"{checked.location}: {checked.message}")
+    if not 0 <= prune < 1:
+        raise SettingError(f"prune must be a finite number in [0, 1), got {prune!r}")
     parties = layout.parties
     sizes = tuple(layout.party_dim(p) for p in parties)
     factored = {

@@ -20,7 +20,6 @@ from subsetid import (
     bell_basis,
     certify_cut,
     certify_genuine,
-    certify_basis_pairs,
     execute,
     ges_basis,
     ghz3_basis,
@@ -173,15 +172,6 @@ def test_dimension_guard():
         certify_cut(CertificateRequest(bell_basis(), 2, AB, max_dim=8))
 
 
-def test_pair_helper_matches_the_direct_certificate():
-    direct = certify_cut(CertificateRequest(ges_basis(2), 2, AB))
-    cor = certify_basis_pairs(2)
-    assert (cor.kappa, cor.bound, cor.verdict) == (
-        direct.kappa, direct.bound, direct.verdict,
-    )
-    assert certify_basis_pairs(4).kappa == math.comb(16, 2)
-
-
 def test_forced_premise_failure_is_reported():
     cert = certify_cut(CertificateRequest(doctored_set(), 2, AB))
     assert cert.verdict == PREMISE_FAILS
@@ -190,13 +180,14 @@ def test_forced_premise_failure_is_reported():
     assert cert.premises["equal-identity-side-reductions"] is False
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_counting_scan_small(d):
     n = d * d
     for k in range(2, n):
         if n**k > 2**16:
             continue
         cert = certify_cut(CertificateRequest(ges_basis(d), k, AB))
+        assert cert.kappa == math.comb(n, k)
         expected = CERTIFIED if math.comb(n, k) > d**k else CONDITION_FAILS
         assert cert.verdict == expected, f"d={d} k={k}"
 

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from subsetid import (
     ATOL,
     Cut,
-    all_bipartitions,
     bell,
     bell_basis,
     connecting_unitary,
@@ -152,23 +151,29 @@ def test_named_states():
         named_states(["B1", "G1"])  # mixed layouts cannot share a set
 
 
-class TestConnectingUnitary:
-    cut = Cut.between("A", "B")
+AB = Cut.between("A", "B")
 
+
+def connect(src, dst, cut=AB):
+    """The connecting unitary from the two states' records across ``cut``."""
+    return connecting_unitary(cut_factors(src, cut), cut_factors(dst, cut))
+
+
+class TestConnectingUnitary:
     def residual(self, src, dst, u):
-        return np.linalg.norm(cut_matrix(src, self.cut) @ u.T - cut_matrix(dst, self.cut))
+        return np.linalg.norm(cut_matrix(src, AB) @ u.T - cut_matrix(dst, AB))
 
     def test_connects_bell_states(self):
         for i in range(1, 5):
             for j in range(1, 5):
-                u = connecting_unitary(bell(i), bell(j), self.cut)
+                u = connect(bell(i), bell(j))
                 assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
                 assert self.residual(bell(i), bell(j), u) < 1e-12
 
     def test_requires_equal_left_reductions(self):
         product = StateVector(qubit_layout("A", "B"), [1, 0, 0, 0])
         with pytest.raises(NoConnectingUnitaryError):
-            connecting_unitary(product, bell(1), self.cut)
+            connect(product, bell(1))
 
 
 def _two_party_state(m) -> StateVector:
@@ -186,26 +191,20 @@ def _schmidt_state(eps, right=(0, 1, 2)) -> StateVector:
     return _two_party_state(m)
 
 
-AB = Cut.between("A", "B")
-
-
 class TestNearTolerance:
     """Left reductions that agree within ATOL while the Schmidt coefficients do not."""
 
-    @pytest.mark.parametrize("factored", [False, True], ids=["states", "factors"])
     @pytest.mark.parametrize(
         "src_eps, dst_eps, ranks",
         [(3e-5, 1e-5, None), (2e-9, 5e-10, "Schmidt ranks 3 and 2")],
         ids=["both-above-tol", "ranks-straddle-tol"],
     )
-    def test_raises_the_typed_error_with_its_defect(self, src_eps, dst_eps, ranks, factored):
+    def test_raises_the_typed_error_with_its_defect(self, src_eps, dst_eps, ranks):
         src, dst = _schmidt_state(src_eps), _schmidt_state(dst_eps, right=(2, 0, 1))
         m_src, m_dst = cut_matrix(src, AB), cut_matrix(dst, AB)
         assert np.max(np.abs(m_src @ m_src.conj().T - m_dst @ m_dst.conj().T)) <= ATOL
-        if factored:
-            src, dst = cut_factors(src, AB), cut_factors(dst, AB)
         with pytest.raises(NoConnectingUnitaryError, match=r"max\|U\^dagger U - I\| = \d") as info:
-            connecting_unitary(src, dst, AB)
+            connect(src, dst)
         assert ("Schmidt ranks" in str(info.value)) == (ranks is not None)
         if ranks:
             assert ranks in str(info.value)
@@ -219,7 +218,7 @@ class TestNearTolerance:
                    for n in (3, 3, 2))
         m = w @ np.diag([math.sqrt(1 - 25e-18), 5e-9]) @ v[:2, :]
         src, dst = _two_party_state(m), _two_party_state(m @ q.T)
-        u = connecting_unitary(src, dst, AB)
+        u = connect(src, dst)
         defect = np.max(np.abs(u.conj().T @ u - np.eye(3)))
         bound = _unitarity_bound(cut_factors(src, AB))
         assert 1e-9 < defect <= bound < 1e-5
@@ -228,61 +227,29 @@ class TestNearTolerance:
     @pytest.mark.parametrize("src_eps, dst_eps", [(1e-12, 1e-12), (5e-10, 2e-9)])
     def test_coefficients_at_or_below_tol_count_as_zero(self, src_eps, dst_eps):
         src, dst = _schmidt_state(src_eps), _schmidt_state(dst_eps, right=(2, 0, 1))
-        u = connecting_unitary(src, dst, AB)
+        u = connect(src, dst)
         assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
         residual = np.linalg.norm(cut_matrix(src, AB) @ u.T - cut_matrix(dst, AB))
         assert residual <= src_eps + dst_eps
 
 
-class TestMismatchedFactors:
-    def test_other_cut(self):
-        f = cut_factors(ghz3(1), Cut.between("A", "BC"))
-        with pytest.raises(ValueError, match="made for cut A:BC"):
-            connecting_unitary(f, ghz3(2), Cut.between("B", "AC"))
-
-    def test_other_tol(self):
-        f = cut_factors(bell(1), AB, tol=1e-6)
-        with pytest.raises(ValueError, match="at tol 1e-06"):
-            connecting_unitary(f, cut_factors(bell(2), AB), AB)
-        with pytest.raises(ValueError, match="at tol 1e-06"):
-            connecting_unitary(bell(2), f, AB)
-
-    def test_other_layout(self):
-        with pytest.raises(ValueError, match="common layout"):
-            connecting_unitary(cut_factors(bell(1), AB), cut_factors(gamma(3), AB), AB)
-
-
-def _c07_cuts():
-    """(members, cut) for every cut verify-paper's connecting-unitary criterion visits."""
-    ghz4 = ghz4_basis()
-    out = [(ghz3_basis(), cut) for cut in all_bipartitions("ABC")]
-    out += [(ghz4, c) for c in all_bipartitions("ABCD") if c.label(ghz4.layout) != "AC:BD"]
-    return out
-
-
-_EQUIVALENCE_CASES = _c07_cuts() + [(bell_basis(), AB)]
-
-
 @pytest.mark.parametrize(
-    "state_set, cut",
-    _EQUIVALENCE_CASES,
-    ids=[f"{s.name}-{c.label(s.layout)}" for s, c in _EQUIVALENCE_CASES],
+    "src, dst",
+    [
+        (cut_factors(ghz3(1), Cut.between("A", "BC")), cut_factors(ghz3(2), Cut.between("B", "AC"))),
+        (cut_factors(bell(1), AB), cut_factors(gamma(3), AB)),
+    ],
+    ids=["cut", "layout"],
 )
-def test_factored_form_gives_the_same_bits(state_set, cut):
-    factors = [cut_factors(s, cut) for s in state_set.states]
-    for src, f in zip(state_set.states, factors):
-        for dst, g in zip(state_set.states, factors):
-            assert np.array_equal(connecting_unitary(f, g, cut), connecting_unitary(src, dst, cut))
+def test_refuses_records_of_another_cut_or_layout(src, dst):
+    with pytest.raises(ValueError, match="records of one layout and cut"):
+        connecting_unitary(src, dst)
 
 
-def test_both_forms_fail_alike_on_the_crossed_cut():
-    states, cut = ghz4_basis().states, Cut.between("AC", "BD")
-    with pytest.raises(NoConnectingUnitaryError) as by_state:
-        connecting_unitary(states[0], states[2], cut)
-    with pytest.raises(NoConnectingUnitaryError) as by_factors:
-        connecting_unitary(cut_factors(states[0], cut), cut_factors(states[2], cut), cut)
-    assert str(by_state.value) == str(by_factors.value)
-    assert "across AC:BD" in str(by_state.value)
+def test_the_crossed_cut_has_no_connecting_unitary():
+    states = ghz4_basis().states
+    with pytest.raises(NoConnectingUnitaryError, match="across AC:BD"):
+        connect(states[0], states[2], Cut.between("AC", "BD"))
 
 
 @st.composite
@@ -311,16 +278,14 @@ def rotated_pairs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(rotated_pairs())
-def test_both_forms_connect_a_rotated_pair(pair):
+def test_connects_a_rotated_pair(pair):
     src, dst = pair
-    by_state = connecting_unitary(src, dst, AB)
-    by_factors = connecting_unitary(cut_factors(src, AB), cut_factors(dst, AB), AB)
-    assert np.array_equal(by_state, by_factors)
+    u = connect(src, dst)
     # unitary up to the rounding the pseudo-inverse amplifies; off by at
     # most the coefficients that count as zero, in both states, and that
     bound = _unitarity_bound(cut_factors(src, AB))
-    assert np.max(np.abs(by_state.conj().T @ by_state - np.eye(3))) <= bound
+    assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= bound
     s = np.linalg.svd(cut_matrix(src, AB), compute_uv=False)
     dropped = 2 * np.linalg.norm(s[s <= ATOL])
-    residual = np.linalg.norm(cut_matrix(src, AB) @ by_state.T - cut_matrix(dst, AB))
+    residual = np.linalg.norm(cut_matrix(src, AB) @ u.T - cut_matrix(dst, AB))
     assert residual <= dropped + bound

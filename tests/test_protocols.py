@@ -33,7 +33,7 @@ from subsetid import (
     validate,
 )
 from subsetid.acceptance import _EXPECTED_SUPPORT
-from subsetid.errors import AmbiguityError, CoverageError, LocalityError
+from subsetid.errors import AmbiguityError, CoverageError, LocalityError, SettingError
 from subsetid.protocols import PROTOCOLS, PRUNE_TOL, _chunks
 
 
@@ -194,6 +194,18 @@ class TestRunExact:
         protocol, _ = builtin_bell32_variants()
         with pytest.raises(ValueError, match="at least one hypothesis"):
             run_exact(protocol, [])
+
+    @pytest.mark.parametrize("prune", [1.0, 2.0, float("inf"), float("nan"), -0.1])
+    def test_refuses_a_prune_outside_zero_to_one(self, prune):
+        # at 1 or above every branch goes, and the refuted bell43 scheme would
+        # read as identified and order-blind on empty distributions
+        protocol, _ = builtin_bell43()
+        hypotheses = hypothesis_ensemble(SubsetTask(bell_basis(), 3))
+        with pytest.raises(SettingError, match=r"prune must be a finite number in \[0, 1\)"):
+            run_exact(protocol, hypotheses, prune=prune)
+        # the protocol's own faults are reported first
+        with pytest.raises(ValueError, match=r"^step 2 \(party B\)"):
+            run_exact(broken_protocol(), hypothesis_ensemble(SubsetTask(bell_basis(), 2)), prune=prune)
 
     def test_memory_holds_one_subset_at_a_time(self):
         # ges(4) k=3 has 560 subsets of 6 stacked states of dimension 4,096:

@@ -194,17 +194,23 @@ def _schmidt_state(eps, right=(0, 1, 2)) -> StateVector:
 class TestNearTolerance:
     """Left reductions that agree within ATOL while the Schmidt coefficients do not."""
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["states", "factors"])
     @pytest.mark.parametrize(
         "src_eps, dst_eps, ranks",
         [(3e-5, 1e-5, None), (2e-9, 5e-10, "Schmidt ranks 3 and 2")],
         ids=["both-above-tol", "ranks-straddle-tol"],
     )
-    def test_raises_the_typed_error_with_its_defect(self, src_eps, dst_eps, ranks):
+    def test_raises_the_typed_error_with_its_defect(self, src_eps, dst_eps, ranks, shared):
         src, dst = _schmidt_state(src_eps), _schmidt_state(dst_eps, right=(2, 0, 1))
         m_src, m_dst = cut_matrix(src, AB), cut_matrix(dst, AB)
         assert np.max(np.abs(m_src @ m_src.conj().T - m_dst @ m_dst.conj().T)) <= ATOL
+        src, dst = cut_factors(src, AB), cut_factors(dst, AB)
+        if shared:
+            # records that have already joined another pair give the same verdict
+            for record in (src, dst):
+                assert_allclose(connecting_unitary(record, record), np.eye(3), atol=1e-9)
         with pytest.raises(NoConnectingUnitaryError, match=r"max\|U\^dagger U - I\| = \d") as info:
-            connect(src, dst)
+            connecting_unitary(src, dst)
         assert ("Schmidt ranks" in str(info.value)) == (ranks is not None)
         if ranks:
             assert ranks in str(info.value)

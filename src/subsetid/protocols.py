@@ -219,6 +219,12 @@ class _Factored:
     ``adjoint`` stacks every ``W[o]^†`` (rows ``starts[o]`` up to
     ``starts[o] + ranks[o]`` belong to outcome o); ``summing`` maps the mass
     of every row to the mass of its outcome (0 for a zero projector).
+
+    When every row of ``adjoint`` has exactly one nonzero entry and that
+    entry is exactly 1 or -1, the measurement is a signed coordinate
+    selection: ``columns[r]`` is the coordinate row r picks, and ``signs``
+    holds each row's sign as an (n, 1) column, or is None when all are +1.
+    Both are None for any other measurement.
     """
 
     adjoint: np.ndarray
@@ -226,6 +232,8 @@ class _Factored:
     starts: np.ndarray
     ranks: np.ndarray
     summing: np.ndarray
+    columns: np.ndarray | None
+    signs: np.ndarray | None
 
     @classmethod
     def of(cls, m: Measurement) -> "_Factored":
@@ -237,7 +245,16 @@ class _Factored:
         starts = np.concatenate(([0], np.cumsum(ranks)[:-1]))
         adjoint = np.concatenate([w.conj().T for w in isometries])
         summing = np.repeat(np.eye(len(ranks)), ranks, axis=0)
-        return cls(adjoint, tuple(isometries), starts, ranks, summing)
+        columns = signs = None
+        nonzero = adjoint != 0
+        if (nonzero.sum(axis=1) == 1).all():
+            picks = nonzero.argmax(axis=1)
+            entries = adjoint[np.arange(len(picks)), picks]
+            if ((entries == 1) | (entries == -1)).all():
+                columns = picks
+                if (entries == -1).any():
+                    signs = entries.real[:, None]
+        return cls(adjoint, tuple(isometries), starts, ranks, summing, columns, signs)
 
 
 #: amplitudes one chunk of run_exact's stacked orderings may hold (256 KiB)
@@ -283,13 +300,18 @@ def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
             m = step.choose(prefix)
             f = factored[m]
             ax = axes[m.party]
-            op = f.adjoint if bases[ax] is None else f.adjoint @ bases[ax]
             g, shape = len(vecs), vecs.shape[1:]
             # explicit sizes: an axis may have shrunk to a zero projector's rank 0
             before, after = math.prod(shape[:ax]), math.prod(shape[ax + 1:])
-            coeffs = (op @ vecs.reshape(g * before, shape[ax], after)).reshape(
-                g, before, len(op), after
-            )
+            if bases[ax] is None and f.columns is not None:
+                coeffs = np.take(vecs.reshape(g, before, shape[ax], after), f.columns, axis=2)
+                if f.signs is not None:
+                    coeffs *= f.signs
+            else:
+                op = f.adjoint if bases[ax] is None else f.adjoint @ bases[ax]
+                coeffs = (op @ vecs.reshape(g * before, shape[ax], after)).reshape(
+                    g, before, len(op), after
+                )
             reals = coeffs.view(np.float64)  # real and imaginary parts side by side
             masses = (np.einsum("girj,girj->gr", reals, reals)[:, None, :] @ f.summing)[:, 0]
             dropped = masses < prune
@@ -367,10 +389,18 @@ def run_exact(
     Soundness: W_o^† W_o = I, so ||P_o psi|| = ||W_o^† psi||; and a later
     projector acts as P' W_o c = W' (W'^† W_o c), so by induction every
     branch norm, hence every transcript probability, is the one the
-    projectors give on the full vector, up to rounding. That holds only
-    for projective measurements, so after the locality check (whose
-    LocalityError comes first) a protocol that fails :func:`validate` is
-    refused with ValueError naming the broken step.
+    projectors give on the full vector, up to rounding. When every row of
+    the stacked W^† has a single nonzero entry, exactly 1 or -1 (diagonal
+    projectors, such as digit parity or a computational basis), that is
+    read off the measurement once, in its factoring, and a party's first
+    measurement gathers the selected coordinates of the node's rows,
+    negating where the sign is -1, instead of multiplying. The matmul's row
+    computes the same +-x_c plus exact zeros, so the gather gives its bits,
+    up to the sign of a zero, which the masses square away. A party
+    measured again acts through W'^† W_o and stays on the matmul. All of
+    this holds only for projective measurements, so after the locality
+    check (whose LocalityError comes first) a protocol that fails
+    :func:`validate` is refused with ValueError naming the broken step.
     """
     hypotheses = tuple(hypotheses)
     if not hypotheses:

@@ -34,7 +34,7 @@ from subsetid import (
 )
 from subsetid.acceptance import _EXPECTED_SUPPORT
 from subsetid.errors import AmbiguityError, CoverageError, LocalityError, SettingError
-from subsetid.protocols import PROTOCOLS, PRUNE_TOL, _chunks
+from subsetid.protocols import PROTOCOLS, PRUNE_TOL, _chunks, _Factored
 
 
 def bell32_report():
@@ -274,12 +274,16 @@ def test_an_ensemble_runs_as_its_hypotheses_alone(name):
         assert abs(whole.pruned_mass[i] - alone.pruned_mass[0]) <= 1e-15
 
 
-def _random_measurement(party, dim, outcomes, rng):
-    """A random-unitary basis coarse-grained into ``outcomes`` projectors,
-    so with fewer outcomes than vectors some projectors have rank >= 2, and
-    with more (``dim + 1``) the last projector is zero."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(z)
+def _random_measurement(party, dim, outcomes, rng, selection=False):
+    """A random-unitary basis, or with ``selection`` a permuted computational
+    basis, coarse-grained into ``outcomes`` projectors, so with fewer
+    outcomes than vectors some projectors have rank >= 2, and with more
+    (``dim + 1``) the last projector is zero."""
+    if selection:
+        q = np.eye(dim, dtype=np.complex128)[:, rng.permutation(dim)]
+    else:
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, _ = np.linalg.qr(z)
     labels = rng.permutation(np.arange(dim) % outcomes)
     return Measurement(
         party, tuple(q[:, labels == o] @ q[:, labels == o].conj().T for o in range(outcomes))
@@ -289,16 +293,18 @@ def _random_measurement(party, dim, outcomes, rng):
 @st.composite
 def random_runs(draw):
     """A small Bell task (a pair or a triple, k in {1, 2}) and a valid random
-    protocol: one to three random-unitary measurements, some coarse-grained
-    or with a zero projector, each later one sometimes swapped on some
-    transcripts reached before it; a party may measure more than once."""
+    protocol: one to three random-unitary or coordinate-selection
+    measurements, some coarse-grained or with a zero projector, each later
+    one sometimes swapped on some transcripts reached before it; a party
+    may measure more than once."""
     members = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3, unique=True))
     k = draw(st.integers(1, min(2, len(members) - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dim = 2 ** k
 
     def measurement(party):
-        return _random_measurement(party, dim, draw(st.integers(1, dim + 1)), rng)
+        outcomes = draw(st.integers(1, dim + 1))
+        return _random_measurement(party, dim, outcomes, rng, draw(st.booleans()))
 
     steps = []
     prefixes = [()]
@@ -376,6 +382,91 @@ def test_run_exact_matches_the_per_ordering_walk(case, prune):
     # pruned masses are summed in another order, so they agree within 1e-15
     assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
     assert all(abs(a - b) <= 1e-15 for a, b in zip(report.pruned_mass, pruned_mass))
+
+
+def _digit_parity(party, base, digits):
+    """Even and odd digit sum of a base-``base`` register: two diagonal
+    projectors of rank >= 2."""
+    odd = np.indices((base,) * digits).sum(axis=0).reshape(-1) % 2
+    return Measurement(party, (np.diag(1 - odd), np.diag(odd)))
+
+
+def _assert_matches_the_per_ordering_walk(protocol, hypotheses):
+    report = run_exact(protocol, hypotheses)
+    distributions, by_component, pruned_mass = per_ordering_run(protocol, hypotheses, PRUNE_TOL)
+    got = list(report.distributions) + [d for comps in report.by_component for d in comps]
+    want = distributions + [d for comps in by_component for d in comps]
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+    assert list(report.pruned_mass) == pruned_mass
+
+
+class TestCoordinateSelection:
+    """A measurement with diagonal projectors picks coordinates; a party's
+    first such measurement gathers them instead of multiplying."""
+
+    def test_read_off_the_measurement(self):
+        for m in (_digit_parity("A", 3, 2), basis_measurement("A", np.eye(9))):
+            f = _Factored.of(m)
+            assert f.columns is not None and f.signs is None
+            assert np.array_equal(f.adjoint, np.eye(9)[f.columns])
+        for basis in (bell_basis(), ghz3_basis(), ges_basis(3)):
+            f = _Factored.of(basis_measurement("A", basis.states))
+            assert f.columns is None and f.signs is None
+
+    def test_parity_on_ges3_matches_the_per_ordering_walk(self):
+        # parity gathers on A; A's second measurement, itself a selection,
+        # acts on the parity outcome's rank-4 or rank-5 axis by matmul
+        protocol = Protocol("parity", (
+            ProtocolStep(_digit_parity("A", 3, 2)),
+            ProtocolStep(basis_measurement("B", ges_basis(3).states)),
+            ProtocolStep(basis_measurement("A", np.eye(9))),
+        ))
+        _assert_matches_the_per_ordering_walk(
+            protocol, hypothesis_ensemble(SubsetTask(ges_basis(3), 2))
+        )
+
+    def test_bell_adaptive_matches_the_per_ordering_walk(self):
+        bell = bell_basis().states
+        computational = basis_measurement("B", np.eye(4))
+        protocol = Protocol("adaptive-bell", (
+            ProtocolStep(basis_measurement("A", bell)),
+            ProtocolStep(
+                basis_measurement("B", bell),
+                {(("A", 1),): computational, (("A", 3),): computational},
+            ),
+        ))
+        _assert_matches_the_per_ordering_walk(
+            protocol, hypothesis_ensemble(SubsetTask(bell_basis(), 2))
+        )
+
+    def test_negated_rows_keep_their_sign(self, monkeypatch):
+        """Each eigenvector's sign is the eigensolver's choice. With every
+        other one negated, parity's rows carry mixed signs within an
+        outcome. The Bell measurements after it on A, then on B, see the
+        relative sign within a parity sector (entanglement swapping ties
+        B's outcome to A's), so they see any sign the gather drops."""
+        hypotheses = hypothesis_ensemble(SubsetTask(bell_basis(), 2))
+        eigh = np.linalg.eigh
+
+        def negated(matrix):
+            values, vectors = eigh(matrix)
+            return values, vectors * np.where(np.arange(len(values)) % 2, -1.0, 1.0)
+
+        monkeypatch.setattr(np.linalg, "eigh", negated)
+        parity = _digit_parity("A", 2, 2)
+        f = _Factored.of(parity)
+        assert f.columns is not None and sorted(f.signs[:, 0].tolist()) == [-1, -1, 1, 1]
+        protocol = Protocol("signed", (
+            ProtocolStep(parity),
+            ProtocolStep(basis_measurement("A", bell_basis().states)),
+            ProtocolStep(basis_measurement("B", bell_basis().states)),
+        ))
+        report = run_exact(protocol, hypotheses)
+        for h, dist in zip(report.hypotheses, report.distributions):
+            dense = dense_distribution(protocol, h)
+            assert set(dist) == set(dense)
+            for t in dist:
+                assert dist[t] == pytest.approx(dense[t], abs=1e-12)
 
 
 class TestIdentification:

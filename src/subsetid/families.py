@@ -286,12 +286,11 @@ def connecting_unitary(src: CutFactors, dst: CutFactors) -> np.ndarray:
             f"connecting_unitary needs records of one layout and cut, got "
             f"{src.cut.label(src.layout)} and {dst.cut.label(dst.layout)}"
         )
-    label = src.cut.label(src.layout)
     deviation = float(np.max(np.abs(src.reduction - dst.reduction)))
     if deviation > ATOL:
         raise NoConnectingUnitaryError(
             "left-side reduced operators differ by "
-            f"{deviation:.3e} across {label}; no one-sided "
+            f"{deviation:.3e} across {src.cut.label(src.layout)}; no one-sided "
             "unitary on the right can connect these states"
         )
     # the completion pairs both kernels at the source's rank, so a rank
@@ -304,7 +303,7 @@ def connecting_unitary(src: CutFactors, dst: CutFactors) -> np.ndarray:
     if defect > _unitarity_bound(src):
         ranks = f"; Schmidt ranks {src.rank} and {dst.rank}" if src.rank != dst.rank else ""
         raise NoConnectingUnitaryError(
-            f"kernel completion across {label} is not unitary "
+            f"kernel completion across {src.cut.label(src.layout)} is not unitary "
             f"(max|U^dagger U - I| = {defect:.3e}{ranks}): the left reductions "
             f"agree within {ATOL:g} but the Schmidt coefficients do not"
         )

@@ -465,9 +465,6 @@ class Classifier:
                 f"classifier has no entry for transcript {format_transcript(t)}"
             ) from None
 
-    def sorted_items(self):
-        return sorted(self.table.items())
-
 
 def perfect_identification(report: SimulationReport, classifier: Classifier) -> Verdict:
     """Did every reached transcript point back at the hypothesis that produced it?

@@ -19,12 +19,22 @@ be built from a set), while domain-level validation, e.g. whether a state
 name or protocol exists, happens at execution where the richer context
 lives. Every diagnostic carries a line and column and, where useful, the
 set of tokens that would have been accepted.
+
+Every character is checked before any grammar error is reported: outside a
+comment, only blanks (space, tab, carriage return), newlines, ASCII digits
+and letters, ``_`` and the symbols ``()[],:=`` may appear, so an unexpected
+character wins over a grammar error earlier in the text. A comment runs
+from ``#`` to the end of its line and may hold any character. Tokens then
+reach the parser on demand, so a script refused early is not tokenized in
+full.
 """
 
 from __future__ import annotations
 
-import string
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ScriptError
 
@@ -36,55 +46,56 @@ KEYWORDS = frozenset(
     }
 )
 
-_NAME_START = set(string.ascii_letters + "_")
-_NAME_BODY = set(string.ascii_letters + string.digits + "_")
-_SYMBOLS = set("()[],:=")
+# Runs of blanks, newlines and token characters, or a comment (which may
+# hold any character); the match stops at the first character outside both.
+_CHARACTERS = re.compile(r"(?:[ \t\r\n0-9A-Za-z_()\[\],:=]+|#[^\n]*)*")
+# Blanks match nothing, so finditer steps over them; only ASCII digits and
+# letters start tokens.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<int>[0-9]+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|[()\[\],:=]"
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name", "int", one of the symbol characters, or "end"
     value: str
     line: int
     column: int
 
 
-def _lex(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+def _lex(text: str) -> Iterator[Token]:
+    """Check every character of ``text``, then return its tokens on demand.
+
+    The first character that is neither a blank (space, tab, carriage
+    return), a newline, a token character nor inside a ``#`` comment raises
+    ScriptError before any token is made, so it is reported ahead of every
+    grammar error. Columns count characters, a tab as one.
+    """
+    bad = _CHARACTERS.match(text).end()
+    if bad < len(text):
+        line_start = text.rfind("\n", 0, bad) + 1
+        raise ScriptError(
+            f"unexpected character {text[bad]!r}",
+            text.count("\n", 0, bad) + 1,
+            bad - line_start + 1,
+        )
+    return _tokens(text)
+
+
+def _tokens(text: str) -> Iterator[Token]:
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            column = 1
-            i += 1
-        elif ch in " \t\r":
-            column += 1
-            i += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in string.digits:
-            start, startcol = i, column
-            while i < len(text) and text[i] in string.digits:
-                i += 1
-                column += 1
-            tokens.append(Token("int", text[start:i], line, startcol))
-        elif ch in _NAME_START:
-            start, startcol = i, column
-            while i < len(text) and text[i] in _NAME_BODY:
-                i += 1
-                column += 1
-            tokens.append(Token("name", text[start:i], line, startcol))
-        elif ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, column))
-            column += 1
-            i += 1
-        else:
-            raise ScriptError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token("end", "", line, column))
-    return tokens
+            line_start = m.end()
+        elif kind != "comment":
+            value = m.group()
+            yield Token(kind or value, value, line, m.start() - line_start + 1)
+    # a trailing comment takes no columns, so the end sits at its "#"
+    end = text.find("#", line_start)
+    yield Token("end", "", line, (len(text) if end < 0 else end) - line_start + 1)
 
 
 # --- abstract syntax ---
@@ -149,17 +160,24 @@ class Script:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Recursive descent over a token iterator, one token of lookahead.
+
+    Tokens are pulled only as the grammar consumes them, so a script refused
+    at its first token makes one token. The grammar never takes the "end"
+    token, which the iterator yields last.
+    """
+
+    def __init__(self, tokens: Iterator[Token]):
         self.tokens = tokens
-        self.pos = 0
+        self.ahead = next(tokens)
         self.scope: dict[str, str] = {}  # name -> "set" | "task"
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        return self.ahead
 
     def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.ahead
+        self.ahead = next(self.tokens)
         return tok
 
     def fail(self, message: str, token: Token, expected: tuple[str, ...] = ()):

@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_lexer import reference_lex
+
 from subsetid import Script, parse, serialize
+from subsetid.acceptance import _FUZZ_TOKENS
 from subsetid.errors import ScriptError
 from subsetid.script import (
     KEYWORDS,
@@ -13,6 +16,8 @@ from subsetid.script import (
     SimulateDecl,
     StatesFamily,
     TaskDecl,
+    _lex,
+    _Parser,
 )
 
 WELL_FORMED = """\
@@ -74,6 +79,14 @@ def test_empty_script():
         ("set x = bell_basis(2)\ntask t = subset(x, k=2)\ncertify t cut", 3, 14, "a party list"),
         ("set x = bell_basis(2)\ntask t = subset(x, k=2)\ncertify t cut A", 2 + 1, 16, "expected :"),
         ("set x @ y", 1, 7, "unexpected character '@'"),
+        # every character is checked before the grammar reports anything
+        ("bogus @", 1, 7, "unexpected character '@'"),
+        # a trailing comment takes no columns
+        ("set # note", 1, 5, "unexpected 'end of input'"),
+        # only ASCII digits start an integer
+        ("set x = bell_basis(\u0663)", 1, 20, "unexpected character '\u0663'"),
+        ("\v", 1, 1, "unexpected character '\\x0b'"),
+        ("set x = bell_basis(2)\r\nset x = ghz3_basis\r\n", 2, 5, "already bound"),
     ],
 )
 def test_located_diagnostics(source, line, column, fragment):
@@ -148,6 +161,39 @@ def test_parse_is_whitespace_insensitive(source, rng):
         out.append(tok)
         out.append(rng.choice([" ", "  ", " \n", " \n\t "]))
     assert parse("".join(out)) == parse(source)
+
+
+# --- the lexer against its character-loop reference ---
+
+_LEXER_PIECES = _FUZZ_TOKENS + (
+    " ", "\t", "\r", "\r\n", "\v", "\f", "#", "\u00e9", "\u00df", "\u0663",
+)
+
+
+def _lexed(lex, text):
+    try:
+        return [tuple(token) for token in lex(text)]
+    except ScriptError as e:
+        return str(e), e.line, e.column, e.expected
+
+
+def _parsed(parser, text):
+    try:
+        script = parser(text)
+    except ScriptError as e:
+        return str(e), e.line, e.column, e.expected
+    return script, [(s.line, s.column) for s in script.statements]
+
+
+def _reference_parse(text):
+    return _Parser(iter(reference_lex(text))).script()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_LEXER_PIECES), max_size=16).map("".join))
+def test_lexer_matches_the_character_loop(text):
+    assert _lexed(_lex, text) == _lexed(reference_lex, text)
+    assert _parsed(parse, text) == _parsed(_reference_parse, text)
 
 
 def test_keyword_set_is_closed():

@@ -46,14 +46,15 @@ KEYWORDS = frozenset(
     }
 )
 
+_SYMBOLS = r"()\[\],:="
 # Runs of blanks, newlines and token characters, or a comment (which may
 # hold any character); the match stops at the first character outside both.
-_CHARACTERS = re.compile(r"(?:[ \t\r\n0-9A-Za-z_()\[\],:=]+|#[^\n]*)*")
+_CHARACTERS = re.compile(rf"(?:[ \t\r\n0-9A-Za-z_{_SYMBOLS}]+|#[^\n]*)*")
 # Blanks match nothing, so finditer steps over them; only ASCII digits and
 # letters start tokens.
 _TOKEN = re.compile(
     r"(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<int>[0-9]+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|[()\[\],:=]"
+    rf"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|[{_SYMBOLS}]"
 )
 
 

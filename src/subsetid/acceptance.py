@@ -50,8 +50,8 @@ from .protocols import (
     run_exact,
 )
 from .script import parse, serialize
-from .statespace import ATOL, Cut, is_maximally_entangled, regroup_coefficients
-from .subsets import DEFAULT_MAX_DIM, SubsetTask, hypothesis_ensemble, stacked_state
+from .statespace import ATOL, Cut, StateVector, is_maximally_entangled, regroup_coefficients
+from .subsets import DEFAULT_MAX_DIM, MixedHypothesis, SubsetTask, hypothesis_ensemble
 
 ATOL_SUPPORT = 1e-12
 
@@ -134,11 +134,11 @@ def check_regroup_signs():
         (0, 1): {(0, 1): half, (1, 0): half, (2, 3): -half, (3, 2): -half},
         (1, 0): {(0, 1): half, (1, 0): half, (2, 3): half, (3, 2): half},
     }
-    for ordering, expected in want.items():
-        s = stacked_state(pair, ordering)
-        c = regroup_coefficients(s, cut, basis, basis)
+    h = MixedHypothesis((0, 1), pair)
+    for ordering, row in zip(h.orderings, h.components):
+        c = regroup_coefficients(StateVector(h.layout, row), cut, basis, basis)
         full = np.zeros((4, 4))
-        for pos, v in expected.items():
+        for pos, v in want[ordering].items():
             full[pos] = v
         if not np.allclose(c.real, full, atol=1e-9) or np.abs(c.imag).max() > 1e-9:
             return False, f"ordering {ordering} gave coefficients\n{np.round(c, 6)}"
@@ -159,15 +159,16 @@ def check_bell_pair_certificate():
     cut = _ab_cut()
     stacked = 0
     for subset in itertools.combinations(range(4), 2):
-        for ordering in itertools.permutations(subset):
-            if not is_maximally_entangled(stacked_state(state_set, ordering), cut):
+        h = MixedHypothesis(subset, state_set)
+        for ordering, row in zip(h.orderings, h.components):
+            if not is_maximally_entangled(StateVector(h.layout, row), cut):
                 return False, f"stacked state for ordering {ordering} is not maximally entangled"
             stacked += 1
     cert = certify_cut(CertificateRequest(state_set, 2, cut))
     if (cert.kappa, cert.bound, cert.verdict) != (6, 4, CERTIFIED):
         return False, f"got kappa {cert.kappa}, bound {cert.bound}, verdict {cert.verdict}"
     return True, (
-        "6 orthogonal hypotheses, all 12 stacked states maximally entangled, "
+        f"6 orthogonal hypotheses, all {stacked} stacked states maximally entangled, "
         "kappa 6 > bound 4, Certified"
     )
 
@@ -311,7 +312,7 @@ def check_consistency():
 
 
 def _doctored_bell_set():
-    from .statespace import StateVector, qubit_layout
+    from .statespace import qubit_layout
     from .subsets import StateSet
 
     product = StateVector(qubit_layout("A", "B"), [1, 0, 0, 0])

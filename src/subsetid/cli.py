@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .engine import execute, format_float, render_structured, render_text
 from .errors import ResourceLimitError, ScriptError, SettingError
-from .families import bell_basis, ges_basis, ghz3_basis, ghz4_basis
+from .families import bell_basis, check_ges_size, ges_basis, ghz3_basis, ghz4_basis
 from .script import parse as parse_script
 from .statespace import ATOL
 from .subsets import DEFAULT_MAX_DIM
@@ -54,7 +54,10 @@ def _add_run_flags(parser: argparse.ArgumentParser):
     )
     parser.add_argument(
         "--max-dim", type=int, default=DEFAULT_MAX_DIM, metavar="INT",
-        help=f"largest allowed stacked dimension (default {DEFAULT_MAX_DIM})",
+        help=(
+            f"largest allowed stacked dimension, and largest ges_basis(d) build "
+            f"as d**4 amplitudes (default {DEFAULT_MAX_DIM})"
+        ),
     )
     parser.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
     parser.add_argument(
@@ -113,8 +116,10 @@ def _cmd_families(args) -> int:
         if d < 2:
             print("error: ges dimension must be at least 2", file=sys.stderr)
             return EXIT_USAGE
-        if d * d > DEFAULT_MAX_DIM:
-            print(f"error: ges_basis({d}) exceeds the dimension guard", file=sys.stderr)
+        try:
+            check_ges_size(d, DEFAULT_MAX_DIM)
+        except ResourceLimitError as e:
+            print(f"error: {e}", file=sys.stderr)
             return EXIT_RESOURCE
         state_set = ges_basis(d)
     else:

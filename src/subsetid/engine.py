@@ -96,11 +96,7 @@ class _Engine:
                 raise ValueError("bell_basis exists for local dimension 2 only")
             state_set = families.bell_basis()
         elif fam.kind == "ges_basis":
-            if fam.dim is not None and fam.dim ** 2 > self.max_dim:
-                raise ResourceLimitError(
-                    f"ges_basis({fam.dim}) lives in dimension {fam.dim ** 2}, "
-                    f"above the limit {self.max_dim}"
-                )
+            families.check_ges_size(fam.dim, self.max_dim)
             state_set = families.ges_basis(fam.dim)
         elif fam.kind == "ghz3_basis":
             state_set = families.ghz3_basis()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConnectingUnitaryError
+from .errors import NoConnectingUnitaryError, ResourceLimitError
 from .statespace import ATOL, Cut, Factor, Layout, StateVector, cut_matrix, qubit_layout
 from .subsets import StateSet
 
@@ -54,11 +54,6 @@ def bell(i: int) -> StateVector:
     return StateVector(qubit_layout("A", "B"), amps)
 
 
-def gamma(d: int) -> StateVector:
-    """The canonical maximally entangled state (1/sqrt(d)) sum_j |jj>."""
-    return ges_state(0, 0, d)
-
-
 def weyl_unitary(a: int, b: int, d: int) -> np.ndarray:
     """The unitary X^a Z^b with X|j> = |j+1 mod d> and Z|j> = w^j |j>, w = exp(2*pi*i/d).
 
@@ -77,7 +72,8 @@ def weyl_unitary(a: int, b: int, d: int) -> np.ndarray:
 
 
 def ges_state(a: int, b: int, d: int) -> StateVector:
-    """(U_ab tensor I) applied to gamma(d); member (a, b) of the d^2-element basis.
+    """(U_ab tensor I) applied to (1/sqrt(d)) sum_j |jj>; member (a, b) of the
+    d^2-element basis, and (0, 0) is that canonical state itself.
 
     The amplitude of |x j> is U_ab[x, j] / sqrt(d).
     """
@@ -125,6 +121,16 @@ def bell_basis() -> StateSet:
         name="bell_basis(2)",
         labels=tuple(f"B{i}" for i in range(1, 5)),
     )
+
+
+def check_ges_size(d: int, max_dim: int) -> None:
+    """Refuse ges_basis(d) before any member is built when its d^2 members
+    of d^2 amplitudes, d**4 in all, exceed ``max_dim``. Every task on the set
+    with k >= 2 copies stacks at least that many amplitudes."""
+    if d ** 4 > max_dim:
+        raise ResourceLimitError(
+            f"ges_basis({d}) holds {d}**4 = {d ** 4} amplitudes, above the guard of {max_dim}"
+        )
 
 
 def ges_basis(d: int) -> StateSet:

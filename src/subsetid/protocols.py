@@ -91,34 +91,34 @@ class Measurement:
     def dim(self) -> int:
         return self.projectors[0].shape[0]
 
-    def first_violation(self, tol: float = ATOL) -> str | None:
+    def first_violation(self) -> str | None:
         """Description of the first broken measurement invariant, if any."""
         d = self.dim
         for i, p in enumerate(self.projectors):
             if not np.isfinite(p).all():
                 return f"projector {i} has a non-finite entry"
             dev = float(np.max(np.abs(p - p.conj().T)))
-            if dev > tol:
+            if dev > ATOL:
                 return f"projector {i} is not Hermitian (deviation {dev:.3e})"
         for i in range(len(self.projectors)):
             for j in range(i + 1, len(self.projectors)):
                 dev = float(np.max(np.abs(self.projectors[i] @ self.projectors[j])))
-                if dev > tol:
+                if dev > ATOL:
                     return f"projectors {i} and {j} are not orthogonal (max entry {dev:.3e})"
         total = sum(self.projectors)
         dev = float(np.max(np.abs(total - np.eye(d))))
-        if dev > tol:
+        if dev > ATOL:
             return f"projectors do not sum to the identity (deviation {dev:.3e})"
         return None
 
 
-def basis_measurement(party: str, vectors: Sequence, outcomes: Sequence[int] = ()) -> Measurement:
-    """Rank-one measurement along the given orthonormal vectors."""
+def basis_measurement(party: str, vectors: Sequence) -> Measurement:
+    """Rank-one measurement along the given orthonormal vectors, outcomes 1..m."""
     projs = []
     for v in vectors:
         a = v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=np.complex128)
         projs.append(np.outer(a, a.conj()))
-    return Measurement(party, tuple(projs), tuple(outcomes))
+    return Measurement(party, tuple(projs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +160,11 @@ class ValidationReport:
     message: str | None = None
 
 
-def validate(protocol: Protocol, tol: float = ATOL) -> ValidationReport:
+def validate(protocol: Protocol) -> ValidationReport:
     """Check every measurement invariant; report the first violation found."""
     for si, step in enumerate(protocol.steps, start=1):
         for tag, m in step.all_measurements():
-            violation = m.first_violation(tol)
+            violation = m.first_violation()
             if violation is not None:
                 where = f"step {si} (party {m.party})"
                 if tag:

@@ -191,11 +191,11 @@ class _Parser:
             self.fail(f"unexpected {shown!r}", tok, expected)
         return self.take()
 
-    def expect_word(self, word: str) -> Token:
+    def expect_word(self, *words: str) -> Token:
         tok = self.peek()
-        if tok.kind != "name" or tok.value != word:
+        if tok.kind != "name" or tok.value not in words:
             shown = tok.value if tok.kind != "end" else "end of input"
-            self.fail(f"unexpected {shown!r}", tok, (word,))
+            self.fail(f"unexpected {shown!r}", tok, words)
         return self.take()
 
     def fresh_name(self) -> Token:
@@ -224,19 +224,12 @@ class _Parser:
 
     def script(self) -> Script:
         stmts: list[Statement] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "end":
-                return Script(tuple(stmts))
-            if tok.kind != "name" or tok.value not in ("set", "task", "simulate", "certify"):
-                shown = tok.value if tok.kind != "end" else "end of input"
-                self.fail(
-                    f"unexpected {shown!r}", tok, ("set", "task", "simulate", "certify")
-                )
-            stmts.append(getattr(self, tok.value)())
+        while self.peek().kind != "end":
+            kw = self.expect_word("set", "task", "simulate", "certify")
+            stmts.append(getattr(self, kw.value)(kw))
+        return Script(tuple(stmts))
 
-    def set(self) -> SetDecl:
-        kw = self.take()
+    def set(self, kw: Token) -> SetDecl:
         name = self.fresh_name()
         self.expect("=", ("=",))
         family = self.family()
@@ -244,12 +237,7 @@ class _Parser:
         return SetDecl(name.value, family, kw.line, kw.column)
 
     def family(self) -> BasisFamily | StatesFamily:
-        tok = self.peek()
-        kinds = ("bell_basis", "ges_basis", "ghz3_basis", "ghz4_basis", "states")
-        if tok.kind != "name" or tok.value not in kinds:
-            shown = tok.value if tok.kind != "end" else "end of input"
-            self.fail(f"unexpected {shown!r}", tok, kinds)
-        self.take()
+        tok = self.expect_word("bell_basis", "ges_basis", "ghz3_basis", "ghz4_basis", "states")
         if tok.value in ("bell_basis", "ges_basis"):
             self.expect("(", ("(",))
             dim = self.int_value()
@@ -265,8 +253,7 @@ class _Parser:
         self.expect("]", ("]", ","))
         return StatesFamily(tuple(names))
 
-    def task(self) -> TaskDecl:
-        kw = self.take()
+    def task(self, kw: Token) -> TaskDecl:
         name = self.fresh_name()
         self.expect("=", ("=",))
         self.expect_word("subset")
@@ -280,15 +267,13 @@ class _Parser:
         self.scope[name.value] = "task"
         return TaskDecl(name.value, set_name.value, k, kw.line, kw.column)
 
-    def simulate(self) -> SimulateDecl:
-        kw = self.take()
+    def simulate(self, kw: Token) -> SimulateDecl:
         task = self.bound_name("task")
         self.expect_word("protocol")
         proto = self.expect("name", ("a protocol name",))
         return SimulateDecl(task.value, proto.value, kw.line, kw.column)
 
-    def certify(self) -> CertifyDecl:
-        kw = self.take()
+    def certify(self, kw: Token) -> CertifyDecl:
         task = self.bound_name("task")
         self.expect_word("cut")
         tok = self.expect("name", ("a party list", "auto", "all"))

@@ -86,9 +86,9 @@ class Layout:
         return math.prod(self.factors[i].dim for i in self.positions_of(party))
 
 
-def qubit_layout(*parties: str, copy: int = 1) -> Layout:
-    """One qubit per listed party, all tagged with the same copy index."""
-    return Layout(tuple(Factor(p, copy, 2) for p in parties))
+def qubit_layout(*parties: str) -> Layout:
+    """One qubit per listed party, all tagged copy 1."""
+    return Layout(tuple(Factor(p, 1, 2) for p in parties))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +114,6 @@ class StateVector:
             raise ValueError(f"state vector is not normalized (norm={norm!r})")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
 
 
 @dataclass(frozen=True)
@@ -164,7 +160,8 @@ class Cut:
 
 
 # ---------------------------------------------------------------------------
-# elementary operations
+# elementary operations; tensor, with_copy and permute_factors serve only
+# subsets.stacked_state, the reference the stacked rows are tested against
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -227,7 +224,6 @@ def regroup_coefficients(
     cut: Cut,
     left_basis: Sequence,
     right_basis: Sequence,
-    tol: float = ATOL,
 ) -> np.ndarray:
     """Expansion coefficients of a state in a product of cut-side bases.
 
@@ -235,7 +231,7 @@ def regroup_coefficients(
     ``sum_ab c[a, b] |left_a>|right_b>``. Basis elements are plain amplitude
     vectors of their side's dimension, so a Bell state's amplitudes can serve
     as a basis vector for a stacked two-qubit side. Both bases must be
-    orthonormal families (checked within ``tol``) and must jointly resolve
+    orthonormal families (checked within ``ATOL``) and must jointly resolve
     the state: the coefficient matrix carries the full norm or a ValueError
     is raised.
     """
@@ -246,7 +242,7 @@ def regroup_coefficients(
         if rows.ndim != 2 or rows.shape[1] != side_dim:
             raise ValueError(f"{which} basis vectors must have length {side_dim}")
         gram = rows.conj() @ rows.T
-        if np.max(np.abs(gram - np.eye(len(rows)))) > tol:
+        if np.max(np.abs(gram - np.eye(len(rows)))) > ATOL:
             raise ValueError(f"{which} basis is not orthonormal")
         return rows
 
@@ -254,7 +250,7 @@ def regroup_coefficients(
     rrows = as_rows(right_basis, m.shape[1], "right")
     coeffs = lrows.conj() @ m @ rrows.conj().T
     weight = float(np.sum(np.abs(coeffs) ** 2))
-    if abs(weight - 1.0) > tol:
+    if abs(weight - 1.0) > ATOL:
         raise ValueError(
             f"bases do not resolve the state (captured weight {weight!r}); "
             "supply complete bases for both cut sides"

@@ -20,8 +20,9 @@ a simulation can build the rows of several consecutive hypotheses at once.
 Nothing is cached, so a simulation that builds a bounded chunk of
 hypotheses at a time holds that chunk's rows, never the ensemble's.
 :func:`stacked_state` builds a single ordering the long way (copy
-relabelling, Kronecker products and a factor permutation) and serves as the
-independent reference for those rows.
+relabelling, Kronecker products and a factor permutation); the engine
+never calls it, and the tests use it as the independent reference for those
+rows.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ class StateSet:
         g.flags.writeable = False
         return g
 
-    def is_orthonormal(self, tol: float = ATOL) -> bool:
-        return bool(np.max(np.abs(self.gram - np.eye(len(self.states)))) <= tol)
+    def is_orthonormal(self) -> bool:
+        return bool(np.max(np.abs(self.gram - np.eye(len(self.states)))) <= ATOL)
 
     def subset_label(self, subset: Sequence[int]) -> str:
         return "+".join(self.labels[i] for i in subset)
@@ -177,8 +178,8 @@ def stacked_state(state_set: StateSet, ordering: Sequence[int]) -> StateVector:
     Copy t of the product (1-based) is the state ``ordering[t-1]``; the
     result's factor order is A-copies first, then B-copies, and so on, so
     each party's holdings are one contiguous block and the layout is
-    :func:`stacked_layout`. This is the reference route, one ordering at a
-    time; :attr:`MixedHypothesis.components` builds all of a subset's
+    :func:`stacked_layout`. This is the tests' reference route, one ordering
+    at a time; :attr:`MixedHypothesis.components` builds all of a subset's
     orderings at once.
     """
     ordering = tuple(ordering)
@@ -288,17 +289,6 @@ class SubsetTask:
     @property
     def subsets(self) -> tuple[tuple[int, ...], ...]:
         return enumerate_subsets(self.n, self.k)
-
-
-def rho_subset(task: SubsetTask, subset: Sequence[int]) -> MixedHypothesis:
-    """The mixed hypothesis for one subset: uniform over all orderings."""
-    subset = tuple(subset)
-    if subset not in set(task.subsets):
-        raise ValueError(
-            f"subset {subset} is not one of the sorted {task.k}-subsets "
-            f"of range({task.n})"
-        )
-    return MixedHypothesis(subset, task.state_set)
 
 
 def hypothesis_ensemble(task: SubsetTask) -> tuple[MixedHypothesis, ...]:

@@ -21,15 +21,24 @@ def test_criterion(cid, title, check):
     assert ok, f"{cid} {title}: {detail}"
 
 
-#: what the refuted criteria must keep reporting while the computation
-#: stands: c09's failing cut, and c10's misidentified transcript and order
-#: leak
+#: what pinned criteria must keep reporting while the computation stands:
+#: whether they pass, and fragments of their details. c03 and c04 pass with
+#: these exact details, read off the hypotheses' stacked rows; c09 keeps its
+#: failing cut, and c10 its misidentified transcript and order leak.
 WITNESSES = {
-    "c09": ["AC:BD: PremiseFails (failing premises: equal-identity-side-reductions)"],
-    "c10": [
+    "c03": (True, [
+        "both orderings supported on the same four Bell pairs with "
+        "coefficients +1/2 +1/2 -1/2 -1/2 and all +1/2",
+    ]),
+    "c04": (True, [
+        "6 orthogonal hypotheses, all 12 stacked states maximally entangled, "
+        "kappa 6 > bound 4, Certified",
+    ]),
+    "c09": (False, ["AC:BD: PremiseFails (failing premises: equal-identity-side-reductions)"]),
+    "c10": (False, [
         "'hypothesis': (0, 2, 3), 'transcript': 'A:1 B:4'",
         "'ordering_a': (0, 1, 2), 'ordering_b': (0, 2, 1)",
-    ],
+    ]),
 }
 
 
@@ -37,6 +46,7 @@ WITNESSES = {
 def test_refuted_criteria_keep_their_witnesses(cid):
     check = {c: fn for c, _, fn in CRITERIA}[cid]
     ok, detail = check()
-    assert not ok
-    for witness in WITNESSES[cid]:
+    expected_ok, witnesses = WITNESSES[cid]
+    assert ok is expected_ok
+    for witness in witnesses:
         assert witness in detail

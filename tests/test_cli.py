@@ -72,6 +72,20 @@ class TestFamilies:
         proc = run_cli("families", "ges", "300")
         assert proc.returncode == 3
 
+    def test_ges_guard_bounds_the_build(self, monkeypatch, capsys):
+        # ges(16) builds 16**4 = 65536 amplitudes, the default guard exactly
+        assert cli.run(["families", "ges", "16", "256"]) == 0
+        assert capsys.readouterr().out.startswith("E256: ")
+
+        def refuse(d):
+            raise AssertionError("ges_basis built before the guard")
+
+        monkeypatch.setattr("subsetid.cli.ges_basis", refuse)
+        assert cli.run(["families", "ges", "17"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "ges_basis(17) holds 17**4 = 83521 amplitudes, above the guard of 65536" in err
+
 
 class TestParse:
     def test_accepts_well_formed_script(self, triple_script):

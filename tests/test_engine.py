@@ -204,6 +204,24 @@ class TestExecutionErrors:
         assert exc.value.line == 3
         assert "measurement acts on dimension 4 but party A holds dimension 64" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "d, max_dim, refused",
+        [(16, 65536, False), (17, 65536, True), (3, 80, True), (3, 81, False)],
+    )
+    def test_ges_guard_bounds_the_build(self, monkeypatch, d, max_dim, refused):
+        # d**2 members of d**2 amplitudes: the guard bounds d**4 and refuses
+        # before any member is built
+        if refused:
+            def refuse(d):
+                raise AssertionError("ges_basis built before the guard")
+
+            monkeypatch.setattr("subsetid.families.ges_basis", refuse)
+            with pytest.raises(ResourceLimitError, match=rf"line 1: ges_basis\({d}\) holds"):
+                execute(f"set e = ges_basis({d})\n", max_dim=max_dim)
+        else:
+            report = execute(f"set e = ges_basis({d})\n", max_dim=max_dim)
+            assert report["sets"]["e"]["size"] == d * d
+
     def test_resource_guard_keeps_its_type(self):
         with pytest.raises(ResourceLimitError, match="line 2"):
             execute("set x = bell_basis(2)\ntask t = subset(x, k=3)", max_dim=32)

@@ -24,7 +24,7 @@ from subsetid import (
     named_states,
 )
 from subsetid.errors import NoConnectingUnitaryError
-from subsetid.families import _unitarity_bound, gamma, weyl_unitary
+from subsetid.families import _unitarity_bound, weyl_unitary
 from subsetid.statespace import Factor, Layout, StateVector, qubit_layout
 
 SQ2 = 1.0 / math.sqrt(2)
@@ -102,10 +102,9 @@ def test_ghz4_entanglement_depends_on_the_pairing():
 
 
 def test_gamma_and_ges_state():
-    g3 = gamma(3)
+    # member (0, 0) is the canonical state gamma(d) = (1/sqrt(d)) sum_j |jj>
     expected = np.zeros(9)
     expected[[0, 4, 8]] = 1.0 / math.sqrt(3)
-    assert_allclose(g3.amplitudes, expected)
     assert_allclose(ges_state(0, 0, 3).amplitudes, expected)
 
     # shifted and phased: amplitude omega^(j b)/sqrt(d) at |(j+a) mod d, j>
@@ -243,7 +242,7 @@ class TestNearTolerance:
     "src, dst",
     [
         (cut_factors(ghz3(1), Cut.between("A", "BC")), cut_factors(ghz3(2), Cut.between("B", "AC"))),
-        (cut_factors(bell(1), AB), cut_factors(gamma(3), AB)),
+        (cut_factors(bell(1), AB), cut_factors(ges_state(0, 0, 3), AB)),
     ],
     ids=["cut", "layout"],
 )

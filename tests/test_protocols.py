@@ -13,6 +13,7 @@ from subsetid import (
     ATOL,
     Classifier,
     Measurement,
+    MixedHypothesis,
     Protocol,
     ProtocolStep,
     SubsetTask,
@@ -28,7 +29,6 @@ from subsetid import (
     named_states,
     order_blindness_verdict,
     perfect_identification,
-    rho_subset,
     run_exact,
     validate,
 )
@@ -480,7 +480,8 @@ class TestIdentification:
     def test_order_blindness_convenience(self):
         protocol, _ = builtin_bell32_variants()
         task = SubsetTask(named_states(["B1", "B2", "B3"]), 2)
-        assert order_blindness_verdict(run_exact(protocol, [rho_subset(task, (0, 2))])).ok
+        hypothesis = MixedHypothesis((0, 2), task.state_set)
+        assert order_blindness_verdict(run_exact(protocol, [hypothesis])).ok
 
     def test_coverage_error_names_the_transcript(self):
         report, _ = bell32_report()

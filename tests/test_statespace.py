@@ -20,9 +20,8 @@ from subsetid import (
     qubit_layout,
     regroup_coefficients,
     schmidt_coefficients,
-    tensor,
 )
-from subsetid.statespace import permute_factors, with_copy
+from subsetid.statespace import permute_factors, tensor, with_copy
 
 SQ2 = 1.0 / math.sqrt(2)
 
@@ -54,9 +53,9 @@ class TestLayout:
         assert layout.dim == 12
 
     def test_qubit_layout(self):
-        layout = qubit_layout("A", "B", "C", copy=3)
+        layout = qubit_layout("A", "B", "C")
         assert layout.dims == (2, 2, 2)
-        assert all(f.copy == 3 for f in layout.factors)
+        assert all(f.copy == 1 for f in layout.factors)
 
 
 class TestStateVector:

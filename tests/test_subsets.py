@@ -19,11 +19,10 @@ from subsetid import (
     hypothesis_ensemble,
     named_states,
     orderings,
-    rho_subset,
-    stacked_state,
 )
 from subsetid.errors import ResourceLimitError
 from subsetid.statespace import Factor, Layout, StateVector, qubit_layout
+from subsetid.subsets import stacked_state
 
 
 def test_enumerate_subsets_order():
@@ -96,7 +95,7 @@ def test_stacked_state_rejects_repeats():
 
 class TestMixedHypothesis:
     def test_components_are_built_on_access(self):
-        h = rho_subset(SubsetTask(bell_basis(), 2), (0, 3))
+        h = MixedHypothesis((0, 3), bell_basis())
         first = h.components
         assert first.shape == (2, 16) and first.dtype == np.complex128
         assert not first.flags.writeable
@@ -111,7 +110,7 @@ class TestMixedHypothesis:
 
     def test_rho_is_the_uniform_ordering_mixture(self):
         task = SubsetTask(bell_basis(), 2)
-        h = rho_subset(task, (0, 3))
+        h = MixedHypothesis((0, 3), task.state_set)
         manual = sum(
             np.outer(s.amplitudes, s.amplitudes.conj())
             for s in (stacked_state(bell_basis(), o) for o in orderings((0, 3)))
@@ -122,7 +121,7 @@ class TestMixedHypothesis:
 
     def test_rho_rank_counts_orderings(self):
         task = SubsetTask(bell_basis(), 2)
-        h = rho_subset(task, (1, 2))
+        h = MixedHypothesis((1, 2), task.state_set)
         assert np.linalg.matrix_rank(dense_rho(h), tol=1e-9) == 2
 
 
@@ -146,7 +145,7 @@ class TestSubsetTask:
     def test_subset_membership_checked(self):
         task = SubsetTask(bell_basis(), 2)
         with pytest.raises(ValueError):
-            rho_subset(task, (0, 7))
+            MixedHypothesis((0, 7), task.state_set)
 
 
 def test_hypothesis_ensemble_alignment():
@@ -192,5 +191,5 @@ def test_components_are_the_stacked_states(case):
 
 def test_component_orderings_cover_all_permutations():
     task = SubsetTask(bell_basis(), 2)
-    h = rho_subset(task, (2, 3))
+    h = MixedHypothesis((2, 3), task.state_set)
     assert set(h.orderings) == set(itertools.permutations((2, 3)))

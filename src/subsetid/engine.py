@@ -96,6 +96,9 @@ class _Engine:
                 raise ValueError("bell_basis exists for local dimension 2 only")
             state_set = families.bell_basis()
         elif fam.kind == "ges_basis":
+            # the parser always gives one, but a hand-built Script may not
+            if fam.dim is None:
+                raise ValueError("ges_basis needs a local dimension, as in ges_basis(3)")
             families.check_ges_size(fam.dim, self.max_dim)
             state_set = families.ges_basis(fam.dim)
         elif fam.kind == "ghz3_basis":

@@ -13,16 +13,21 @@ Four families are provided, each an orthonormal basis of its space:
 Members of one family are related by one-sided unitaries across the cuts on
 which they are maximally entangled; :func:`connecting_unitary` computes such
 a unitary explicitly from two :class:`CutFactors` records. A record holds
-one member's work on one cut (cut matrix, reduction, pseudo-inverse, SVD and
-kernel complement), made once by :func:`cut_factors`, so a member that joins
-many pairs on that cut is factored once, not once per pair. Schmidt
-coefficients at or below ``ATOL`` count as zero throughout.
+the work on one cut (cut matrix, reduction, pseudo-inverse, SVD and kernel
+complement) for one state, or for a stack of states of one layout on a
+leading member axis, made once by :func:`cut_factors`, so a member that
+joins many pairs on that cut is factored once, not once per pair. Stacked
+records connect every ordered member pair in one call, and a pair that
+cannot be connected is named by its member indices; a single record is the
+stack of one. Schmidt coefficients at or below ``ATOL`` count as zero
+throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,18 +196,24 @@ def named_states(names) -> StateSet:
     return StateSet(states, name="states[" + ",".join(names) + "]", labels=names)
 
 
-def _orthonormal_complement(columns: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the complement of the given orthonormal columns."""
-    r = columns.shape[1]
+def _orthonormal_complement(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the complements of stacked orthonormal columns.
+
+    ``columns`` has shape (..., dim, r) and the result (..., dim, dim - r):
+    standard basis vectors orthonormalized against the columns, one QR for
+    the whole stack.
+    """
+    *lead, dim, r = columns.shape
     if r == dim:
-        return np.zeros((dim, 0), dtype=np.complex128)
-    q, _ = np.linalg.qr(np.hstack([columns, np.eye(dim, dtype=np.complex128)]))
-    return q[:, r:dim]
+        return np.zeros((*lead, dim, 0), dtype=np.complex128)
+    eye = np.broadcast_to(np.eye(dim, dtype=np.complex128), (*lead, dim, dim))
+    q, _ = np.linalg.qr(np.concatenate([columns, eye], axis=-1))
+    return q[..., r:dim]
 
 
 @dataclass(frozen=True, eq=False)
 class CutFactors:
-    """One state's factoring across one cut, shared by every pair it joins.
+    """The factoring of one state, or of a stack of states, across one cut.
 
     ``matrix`` is the cut matrix M, ``reduction`` the left reduction M M^dagger,
     ``pinv`` the pseudo-inverse of M^T, ``left`` the left singular vectors of
@@ -211,6 +222,11 @@ class CutFactors:
     orthonormal basis of the complement of the first ``rank`` of them. The
     layout and cut it was made for are kept, so :func:`connecting_unitary`
     reads the cut from the records and never mixes records of two cuts.
+
+    A stacked record holds n members: every array gains a leading member
+    axis, ``rank`` is an integer array of shape (n,), and ``perp`` has as
+    many columns as the member of lowest rank needs, member i's complement
+    filling its first ``dim - rank[i]`` and zeros the rest.
     """
 
     layout: Layout
@@ -220,37 +236,58 @@ class CutFactors:
     pinv: np.ndarray
     left: np.ndarray
     singular: np.ndarray
-    rank: int
+    rank: int | np.ndarray
     perp: np.ndarray
 
 
-def cut_factors(state: StateVector, cut: Cut) -> CutFactors:
-    """Factor ``state`` across ``cut`` once, for any number of connecting_unitary calls.
+#: the CutFactors fields besides ``rank`` that carry the member axis
+_ARRAYS = ("matrix", "reduction", "pinv", "left", "singular", "perp")
 
+
+def cut_factors(states: StateVector | Sequence[StateVector], cut: Cut) -> CutFactors:
+    """Factor ``states`` across ``cut`` once, for any number of connecting_unitary calls.
+
+    One state gives a single record; a sequence of states of one layout
+    gives one stacked record, member i from states[i], made by one SVD, one
+    pseudo-inverse and one QR per distinct Schmidt rank for the whole stack.
     Schmidt coefficients at or below ``ATOL`` count as zero, in the
     pseudo-inverse as in the rank.
     """
-    m = cut_matrix(state, cut)
-    a = m.T
+    single = isinstance(states, StateVector)
+    members = (states,) if single else tuple(states)
+    if not members or any(s.layout != members[0].layout for s in members):
+        raise ValueError("cut_factors needs one or more states of one layout")
+    m = np.stack([cut_matrix(s, cut) for s in members])
+    a = m.swapaxes(-1, -2)
     left, s, _ = np.linalg.svd(a)
-    rank = int(np.sum(s > ATOL))
-    return CutFactors(
-        layout=state.layout,
+    rank = np.sum(s > ATOL, axis=-1)
+    dim = a.shape[-2]
+    perp = np.zeros((len(members), dim, dim - rank.min()), dtype=np.complex128)
+    # a set, not np.unique, whose first call raises peak memory by about 1 MB
+    for r in set(rank.tolist()):
+        kept = rank == r
+        perp[kept, :, : dim - r] = _orthonormal_complement(left[kept, :, :r])
+    record = CutFactors(
+        layout=members[0].layout,
         cut=cut,
         matrix=m,
-        reduction=m @ m.conj().T,
+        reduction=m @ m.conj().swapaxes(-1, -2),
         # drops the coefficients at or below ATOL, as the rank does, so no
         # direction is both inverted and completed on the kernel
-        pinv=np.linalg.pinv(a, rcond=ATOL / s[0]),
+        pinv=np.linalg.pinv(a, rcond=ATOL / s[:, 0]),
         left=left,
         singular=s,
         rank=rank,
-        perp=_orthonormal_complement(left[:, :rank], a.shape[0]),
+        perp=perp,
     )
+    if single:
+        return replace(record, rank=int(rank[0]), **{f: getattr(record, f)[0] for f in _ARRAYS})
+    return record
 
 
-def _unitarity_bound(src: CutFactors) -> float:
-    """How far from unitary a connecting U may come out by rounding alone.
+def _unitarity_bound(src: CutFactors) -> float | np.ndarray:
+    """How far from unitary a connecting U may come out by rounding alone,
+    for each member of a stacked source.
 
     U is built through the pseudo-inverse of the source, which amplifies the
     rounding of both states, about machine epsilon per entry, by the
@@ -260,11 +297,21 @@ def _unitarity_bound(src: CutFactors) -> float:
     pairs the defect reached 15.5 times it, so the bound is 64 times the
     estimate, and never less than 1e-9. It admits Schmidt coefficients that
     differ by rounding only, about 64 * dim * eps, however small they are.
+    Every state is normalized, so its largest coefficient is always kept.
     """
-    kept = src.singular[: src.rank]
-    if not len(kept):
-        return 1e-9
-    return max(1e-9, 64 * np.finfo(float).eps * len(src.left) * float(kept[0] / kept[-1]))
+    rank = np.asarray(src.rank)
+    smallest = np.take_along_axis(src.singular, (rank - 1)[..., None], axis=-1)[..., 0]
+    condition = src.singular[..., 0] / smallest
+    return np.maximum(1e-9, 64 * np.finfo(float).eps * src.left.shape[-1] * condition)
+
+
+def _stacked(record: CutFactors) -> tuple[CutFactors, tuple[int, ...]]:
+    """The record with a member axis, and that axis's shape in the results:
+    () for a single record, which becomes a stack of one."""
+    if np.ndim(record.rank):
+        return record, record.rank.shape
+    lifted = {f: getattr(record, f)[None] for f in _ARRAYS}
+    return replace(record, rank=np.array([record.rank]), **lifted), ()
 
 
 def connecting_unitary(src: CutFactors, dst: CutFactors) -> np.ndarray:
@@ -286,31 +333,50 @@ def connecting_unitary(src: CutFactors, dst: CutFactors) -> np.ndarray:
     the completed U is not unitary to within :func:`_unitarity_bound`, a
     NoConnectingUnitaryError names the defect max|U^dagger U - I|, and both
     Schmidt ranks when they differ.
+
+    Stacked records connect every ordered pair of their members: the result
+    has shape src members + dst members + (dim, dim), where a single record
+    contributes no axis, so U[i, j] takes source member i to destination
+    member j. The pairs are checked as one pair is, one source member at a
+    time against all destinations, and the error names the first failing
+    pair in row-major order, "from member i to member j", after the cut.
     """
     if src.layout != dst.layout or src.cut != dst.cut:
         raise ValueError(
             f"connecting_unitary needs records of one layout and cut, got "
             f"{src.cut.label(src.layout)} and {dst.cut.label(dst.layout)}"
         )
-    deviation = float(np.max(np.abs(src.reduction - dst.reduction)))
-    if deviation > ATOL:
-        raise NoConnectingUnitaryError(
-            "left-side reduced operators differ by "
-            f"{deviation:.3e} across {src.cut.label(src.layout)}; no one-sided "
-            "unitary on the right can connect these states"
-        )
-    # the completion pairs both kernels at the source's rank, so a rank
-    # mismatch needs the destination's complement taken at that rank
-    dst_perp = dst.perp
-    if dst.rank != src.rank:
-        dst_perp = _orthonormal_complement(dst.left[:, : src.rank], dst.left.shape[0])
-    u = dst.matrix.T @ src.pinv + dst_perp @ src.perp.conj().T
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if defect > _unitarity_bound(src):
-        ranks = f"; Schmidt ranks {src.rank} and {dst.rank}" if src.rank != dst.rank else ""
-        raise NoConnectingUnitaryError(
-            f"kernel completion across {src.cut.label(src.layout)} is not unitary "
-            f"(max|U^dagger U - I| = {defect:.3e}{ranks}): the left reductions "
-            f"agree within {ATOL:g} but the Schmidt coefficients do not"
-        )
-    return u
+    where = f"across {src.cut.label(src.layout)}"
+    (src, src_shape), (dst, dst_shape) = _stacked(src), _stacked(dst)
+    named = bool(src_shape or dst_shape)
+    dim = dst.left.shape[-1]
+    bounds = _unitarity_bound(src)
+    dst_mt = dst.matrix.swapaxes(-1, -2)
+    us = np.empty((len(src.rank), len(dst.rank), dim, dim), dtype=np.complex128)
+    for i, rank in enumerate(src.rank):
+        deviation = np.max(np.abs(src.reduction[i] - dst.reduction), axis=(-2, -1))
+        # the completion pairs both kernels at the source's rank, so a rank
+        # mismatch needs the destination's complement taken at that rank
+        dst_perp = dst.perp[..., : dim - rank]
+        if np.any(dst.rank != rank):
+            dst_perp = _orthonormal_complement(dst.left[..., :rank])
+        u = dst_mt @ src.pinv[i] + dst_perp @ src.perp[i, :, : dim - rank].conj().T
+        defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim)), axis=(-2, -1))
+        failing = (deviation > ATOL) | (defect > bounds[i])
+        if failing.any():
+            j = int(np.argmax(failing))
+            pair = f" from member {i} to member {j}" if named else ""
+            if deviation[j] > ATOL:
+                raise NoConnectingUnitaryError(
+                    "left-side reduced operators differ by "
+                    f"{deviation[j]:.3e} {where}{pair}; no one-sided "
+                    "unitary on the right can connect these states"
+                )
+            ranks = f"; Schmidt ranks {rank} and {dst.rank[j]}" if rank != dst.rank[j] else ""
+            raise NoConnectingUnitaryError(
+                f"kernel completion {where}{pair} is not unitary "
+                f"(max|U^dagger U - I| = {defect[j]:.3e}{ranks}): the left reductions "
+                f"agree within {ATOL:g} but the Schmidt coefficients do not"
+            )
+        us[i] = u
+    return us.reshape(src_shape + dst_shape + (dim, dim))

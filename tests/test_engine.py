@@ -6,6 +6,7 @@ import pytest
 
 from subsetid import execute, render_structured, render_text
 from subsetid.errors import ExecutionError, ResourceLimitError, SettingError
+from subsetid.script import BasisFamily, Script, SetDecl
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -185,6 +186,12 @@ class TestExecutionErrors:
                 "set x = bell_basis(2)\ntask t = subset(x, k=2)\ncertify t cut AA:B",
                 3,
                 "repeats in cut",
+            ),
+            # a parsed script always has the dimension; a hand-built one may not
+            (
+                Script((SetDecl("e", BasisFamily("ges_basis"), line=1, column=1),)),
+                1,
+                "ges_basis needs a local dimension",
             ),
         ],
     )

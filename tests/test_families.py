@@ -294,3 +294,64 @@ def test_connects_a_rotated_pair(pair):
     dropped = 2 * np.linalg.norm(s[s <= ATOL])
     residual = np.linalg.norm(cut_matrix(src, AB) @ u.T - cut_matrix(dst, AB))
     assert residual <= dropped + bound
+
+
+def test_a_stacked_call_names_the_first_failing_pair():
+    crossed = cut_factors(ghz4_basis().states, Cut.between("AC", "BD"))
+    with pytest.raises(NoConnectingUnitaryError, match="across AC:BD from member 0 to member 2;"):
+        connecting_unitary(crossed, crossed)
+
+
+@pytest.mark.parametrize("states", [(), (bell(1), ges_state(0, 0, 3))], ids=["empty", "layouts"])
+def test_cut_factors_refuses_an_empty_or_mixed_stack(states):
+    with pytest.raises(ValueError, match="one or more states of one layout"):
+        cut_factors(states, AB)
+
+
+@st.composite
+def member_stacks(draw):
+    """Two stacks of states of one layout, each of one to three members.
+
+    Either rotated_pairs' two states and two more rotations of the first,
+    which connect up to the coefficients at or below ATOL, or 3x3 states
+    with Schmidt coefficients (sqrt(1/2), sqrt(1/2 - eps^2), eps), eps on
+    either side of ATOL, whose ranks straddle it; their reductions agree
+    within ATOL, and they connect or not by their ranks and coefficients.
+    """
+    if draw(st.booleans()):
+        src, dst = draw(rotated_pairs())
+        pool = [src, dst]
+        parts = st.floats(-1.0, 1.0, allow_nan=False)
+        for _ in range(2):
+            y = np.array(draw(st.lists(parts, min_size=18, max_size=18)))
+            q, _ = np.linalg.qr((y[:9] + 1j * y[9:]).reshape(3, 3))
+            pool.append(_two_party_state(cut_matrix(src, AB) @ q.T))
+    else:
+        members = st.tuples(st.sampled_from([1e-12, 5e-10, 2e-9, 1e-5, 3e-5]), st.permutations([0, 1, 2]))
+        pool = [_schmidt_state(eps, right) for eps, right in draw(st.lists(members, min_size=1, max_size=4))]
+    picks = st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    return draw(picks), draw(picks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(member_stacks())
+def test_stacked_pairs_match_single_pairs(stacks):
+    singles = [[cut_factors(s, AB) for s in states] for states in stacks]
+    src, dst = (cut_factors(states, AB) for states in stacks)
+    expected = np.empty((len(singles[0]), len(singles[1]), 3, 3), dtype=np.complex128)
+    first = None
+    for i, a in enumerate(singles[0]):
+        for j, b in enumerate(singles[1]):
+            try:
+                expected[i, j] = connecting_unitary(a, b)
+            except NoConnectingUnitaryError as e:
+                first = first or (i, j, e)
+    if first is None:
+        assert np.array_equal(connecting_unitary(src, dst), expected)
+        assert np.array_equal(connecting_unitary(singles[0][0], dst), expected[0])
+    else:
+        i, j, error = first
+        with pytest.raises(type(error)) as info:
+            connecting_unitary(src, dst)
+        pair = f"across A:B from member {i} to member {j}"
+        assert str(info.value) == str(error).replace("across A:B", pair)

@@ -96,15 +96,22 @@ class _Engine:
                 raise ValueError("bell_basis exists for local dimension 2 only")
             state_set = families.bell_basis()
         elif fam.kind == "ges_basis":
-            # the parser always gives one, but a hand-built Script may not
-            if fam.dim is None:
-                raise ValueError("ges_basis needs a local dimension, as in ges_basis(3)")
+            # the parser always gives an integer, but a hand-built Script may not
+            if not isinstance(fam.dim, int):
+                raise ValueError(
+                    f"ges_basis needs a local dimension, as in ges_basis(3), not {fam.dim!r}"
+                )
             families.check_ges_size(fam.dim, self.max_dim)
             state_set = families.ges_basis(fam.dim)
         elif fam.kind == "ghz3_basis":
             state_set = families.ghz3_basis()
-        else:
+        elif fam.kind == "ghz4_basis":
             state_set = families.ghz4_basis()
+        else:
+            raise ValueError(
+                f"unknown basis family {fam.kind!r} "
+                "(available: bell_basis, ges_basis, ghz3_basis, ghz4_basis)"
+            )
         self.sets[stmt.name] = state_set
         layout = state_set.layout
         self.report["sets"][stmt.name] = {
@@ -115,6 +122,9 @@ class _Engine:
         }
 
     def declare_task(self, stmt: TaskDecl):
+        # the parser checks scope, but a hand-built Script may name anything
+        if stmt.set_name not in self.sets:
+            raise ValueError(f"unknown set {stmt.set_name!r}")
         task = SubsetTask(self.sets[stmt.set_name], stmt.k, max_dim=self.max_dim)
         self.tasks[stmt.name] = task
         self.report["tasks"][stmt.name] = {
@@ -124,8 +134,13 @@ class _Engine:
             "stacked_dim": task.stacked_dim,
         }
 
+    def task(self, name: str) -> SubsetTask:
+        if name not in self.tasks:
+            raise ValueError(f"unknown task {name!r}")
+        return self.tasks[name]
+
     def simulate(self, stmt: SimulateDecl) -> dict:
-        task = self.tasks[stmt.task_name]
+        task = self.task(stmt.task_name)
         if stmt.protocol not in PROTOCOLS:
             raise ValueError(
                 f"unknown protocol {stmt.protocol!r} "
@@ -164,7 +179,7 @@ class _Engine:
         return record
 
     def certify(self, stmt: CertifyDecl) -> dict:
-        task = self.tasks[stmt.task_name]
+        task = self.task(stmt.task_name)
         layout = task.state_set.layout
         if stmt.cut == ALL_CUTS:
             cut = ALL_CUTS
@@ -175,8 +190,10 @@ class _Engine:
                     + ", ".join(layout.parties)
                 )
             cut = Cut.between(layout.parties[:1], layout.parties[1:])
-        else:
+        elif isinstance(stmt.cut, CutSpec):
             cut = self.explicit_cut(stmt.cut, layout)
+        else:
+            raise ValueError(f"unknown cut {stmt.cut!r}; expected a split such as A:B, auto or all")
         result = certify_genuine(
             CertificateRequest(
                 task.state_set, task.k, cut, tol=self.tolerance, max_dim=self.max_dim
@@ -185,7 +202,7 @@ class _Engine:
         record = {
             "kind": "certify",
             "task": stmt.task_name,
-            "cut": stmt.cut if isinstance(stmt.cut, str) else f"{stmt.cut.left}:{stmt.cut.right}",
+            "cut": str(stmt.cut),
             "certificates": [
                 {
                     "cut": c.cut,
@@ -209,9 +226,7 @@ class _Engine:
             seen = set()
             for p in side:
                 if p in seen:
-                    raise ValueError(
-                        f"party {p!r} repeats in cut {spec.left}:{spec.right}"
-                    )
+                    raise ValueError(f"party {p!r} repeats in cut {spec}")
                 seen.add(p)
         cut = Cut.between(spec.left, spec.right)
         cut.validate_for(layout)

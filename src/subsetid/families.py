@@ -12,14 +12,14 @@ Four families are provided, each an orthonormal basis of its space:
 
 Members of one family are related by one-sided unitaries across the cuts on
 which they are maximally entangled; :func:`connecting_unitary` computes such
-a unitary explicitly from two :class:`CutFactors` records. A record holds
+unitaries explicitly from two :class:`CutFactors` records. A record holds
 the work on one cut (cut matrix, reduction, pseudo-inverse, SVD and kernel
-complement) for one state, or for a stack of states of one layout on a
-leading member axis, made once by :func:`cut_factors`, so a member that
-joins many pairs on that cut is factored once, not once per pair. Stacked
-records connect every ordered member pair in one call, and a pair that
-cannot be connected is named by its member indices; a single record is the
-stack of one. Schmidt coefficients at or below ``ATOL`` count as zero
+complement) for a stack of states of one layout on a leading member axis,
+made once by :func:`cut_factors`, so a member that joins many pairs on that
+cut is factored once, not once per pair. Every record is a stack, one state
+being the stack of one; two records connect every ordered member pair in
+one call, and a pair that cannot be connected is named by its member
+indices. Schmidt coefficients at or below ``ATOL`` count as zero
 throughout.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,8 +204,6 @@ def _orthonormal_complement(columns: np.ndarray) -> np.ndarray:
     the whole stack.
     """
     *lead, dim, r = columns.shape
-    if r == dim:
-        return np.zeros((*lead, dim, 0), dtype=np.complex128)
     eye = np.broadcast_to(np.eye(dim, dtype=np.complex128), (*lead, dim, dim))
     q, _ = np.linalg.qr(np.concatenate([columns, eye], axis=-1))
     return q[..., r:dim]
@@ -213,20 +211,19 @@ def _orthonormal_complement(columns: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CutFactors:
-    """The factoring of one state, or of a stack of states, across one cut.
+    """The factoring of a stack of n states of one layout across one cut.
 
-    ``matrix`` is the cut matrix M, ``reduction`` the left reduction M M^dagger,
-    ``pinv`` the pseudo-inverse of M^T, ``left`` the left singular vectors of
-    M^T, ``singular`` its singular values (the Schmidt coefficients, largest
-    first), ``rank`` the number of them above ``ATOL`` and ``perp`` an
-    orthonormal basis of the complement of the first ``rank`` of them. The
-    layout and cut it was made for are kept, so :func:`connecting_unitary`
-    reads the cut from the records and never mixes records of two cuts.
-
-    A stacked record holds n members: every array gains a leading member
-    axis, ``rank`` is an integer array of shape (n,), and ``perp`` has as
-    many columns as the member of lowest rank needs, member i's complement
-    filling its first ``dim - rank[i]`` and zeros the rest.
+    Every array carries a leading member axis of length n. ``matrix`` holds
+    the cut matrices M, ``reduction`` the left reductions M M^dagger,
+    ``pinv`` the pseudo-inverses of M^T, ``left`` the left singular vectors
+    of M^T, ``singular`` its singular values (the Schmidt coefficients,
+    largest first), ``rank`` (an integer array of shape (n,)) the number of
+    them above ``ATOL``, and ``perp`` orthonormal bases of the complements
+    of the first ``rank`` of them, as many columns as the member of lowest
+    rank needs, member i's complement filling its first ``dim - rank[i]``
+    and zeros the rest. The layout and cut it was made for are kept, so
+    :func:`connecting_unitary` reads the cut from the records and never
+    mixes records of two cuts.
     """
 
     layout: Layout
@@ -236,39 +233,34 @@ class CutFactors:
     pinv: np.ndarray
     left: np.ndarray
     singular: np.ndarray
-    rank: int | np.ndarray
+    rank: np.ndarray
     perp: np.ndarray
 
 
-#: the CutFactors fields besides ``rank`` that carry the member axis
-_ARRAYS = ("matrix", "reduction", "pinv", "left", "singular", "perp")
+def cut_factors(states: Sequence[StateVector], cut: Cut) -> CutFactors:
+    """Factor a stack of states of one layout across ``cut`` once, for any
+    number of connecting_unitary calls.
 
-
-def cut_factors(states: StateVector | Sequence[StateVector], cut: Cut) -> CutFactors:
-    """Factor ``states`` across ``cut`` once, for any number of connecting_unitary calls.
-
-    One state gives a single record; a sequence of states of one layout
-    gives one stacked record, member i from states[i], made by one SVD, one
-    pseudo-inverse and one QR per distinct Schmidt rank for the whole stack.
-    Schmidt coefficients at or below ``ATOL`` count as zero, in the
-    pseudo-inverse as in the rank.
+    Member i of the record comes from states[i]; one state is passed as a
+    stack of one. The whole stack takes one SVD, one pseudo-inverse and one
+    QR per distinct Schmidt rank. Schmidt coefficients at or below ``ATOL``
+    count as zero, in the pseudo-inverse as in the rank.
     """
-    single = isinstance(states, StateVector)
-    members = (states,) if single else tuple(states)
-    if not members or any(s.layout != members[0].layout for s in members):
+    states = tuple(states)
+    if not states or any(s.layout != states[0].layout for s in states):
         raise ValueError("cut_factors needs one or more states of one layout")
-    m = np.stack([cut_matrix(s, cut) for s in members])
+    m = np.stack([cut_matrix(s, cut) for s in states])
     a = m.swapaxes(-1, -2)
     left, s, _ = np.linalg.svd(a)
     rank = np.sum(s > ATOL, axis=-1)
     dim = a.shape[-2]
-    perp = np.zeros((len(members), dim, dim - rank.min()), dtype=np.complex128)
+    perp = np.zeros((len(states), dim, dim - rank.min()), dtype=np.complex128)
     # a set, not np.unique, whose first call raises peak memory by about 1 MB
     for r in set(rank.tolist()):
         kept = rank == r
         perp[kept, :, : dim - r] = _orthonormal_complement(left[kept, :, :r])
-    record = CutFactors(
-        layout=members[0].layout,
+    return CutFactors(
+        layout=states[0].layout,
         cut=cut,
         matrix=m,
         reduction=m @ m.conj().swapaxes(-1, -2),
@@ -280,14 +272,11 @@ def cut_factors(states: StateVector | Sequence[StateVector], cut: Cut) -> CutFac
         rank=rank,
         perp=perp,
     )
-    if single:
-        return replace(record, rank=int(rank[0]), **{f: getattr(record, f)[0] for f in _ARRAYS})
-    return record
 
 
-def _unitarity_bound(src: CutFactors) -> float | np.ndarray:
+def _unitarity_bound(src: CutFactors) -> np.ndarray:
     """How far from unitary a connecting U may come out by rounding alone,
-    for each member of a stacked source.
+    for each member of the source.
 
     U is built through the pseudo-inverse of the source, which amplifies the
     rounding of both states, about machine epsilon per entry, by the
@@ -299,32 +288,28 @@ def _unitarity_bound(src: CutFactors) -> float | np.ndarray:
     differ by rounding only, about 64 * dim * eps, however small they are.
     Every state is normalized, so its largest coefficient is always kept.
     """
-    rank = np.asarray(src.rank)
-    smallest = np.take_along_axis(src.singular, (rank - 1)[..., None], axis=-1)[..., 0]
-    condition = src.singular[..., 0] / smallest
+    smallest = np.take_along_axis(src.singular, (src.rank - 1)[:, None], axis=-1)[:, 0]
+    condition = src.singular[:, 0] / smallest
     return np.maximum(1e-9, 64 * np.finfo(float).eps * src.left.shape[-1] * condition)
 
 
-def _stacked(record: CutFactors) -> tuple[CutFactors, tuple[int, ...]]:
-    """The record with a member axis, and that axis's shape in the results:
-    () for a single record, which becomes a stack of one."""
-    if np.ndim(record.rank):
-        return record, record.rank.shape
-    lifted = {f: getattr(record, f)[None] for f in _ARRAYS}
-    return replace(record, rank=np.array([record.rank]), **lifted), ()
-
-
 def connecting_unitary(src: CutFactors, dst: CutFactors) -> np.ndarray:
-    """A unitary U on the right side of the records' cut with (I tensor U) src = dst.
+    """Unitaries U on the right side of the records' cut with
+    (I tensor U) src[i] = dst[j], for every ordered member pair (i, j).
 
     Both arguments are :func:`cut_factors` records of one layout and one cut;
-    records that differ in either raise ValueError. Such a U exists exactly
-    when the two states have equal reduced operators on the left side; that
-    is checked first, and a NoConnectingUnitaryError names the offending
-    deviation otherwise. U is not unique whenever the Schmidt rank is below
-    the right-side dimension; the returned representative maps the source's
-    right support onto the destination's and is completed on the kernel by
-    orthonormalizing standard basis vectors, so it is deterministic.
+    records that differ in either raise ValueError. The result always has
+    shape (src members, dst members, dim, dim), so U[i, j] takes source
+    member i to destination member j; two stacks of one give a (1, 1, dim,
+    dim) array.
+
+    Such a U exists exactly when the two states have equal reduced operators
+    on the left side; that is checked first, and a NoConnectingUnitaryError
+    names the offending deviation otherwise. U is not unique whenever the
+    Schmidt rank is below the right-side dimension; the returned
+    representative maps the source's right support onto the destination's
+    and is completed on the kernel by orthonormalizing standard basis
+    vectors, so it is deterministic.
 
     Schmidt coefficients at or below ``ATOL`` count as zero, so U connects
     the states up to them. Reductions that agree within ``ATOL`` do not
@@ -334,21 +319,15 @@ def connecting_unitary(src: CutFactors, dst: CutFactors) -> np.ndarray:
     NoConnectingUnitaryError names the defect max|U^dagger U - I|, and both
     Schmidt ranks when they differ.
 
-    Stacked records connect every ordered pair of their members: the result
-    has shape src members + dst members + (dim, dim), where a single record
-    contributes no axis, so U[i, j] takes source member i to destination
-    member j. The pairs are checked as one pair is, one source member at a
-    time against all destinations, and the error names the first failing
-    pair in row-major order, "from member i to member j", after the cut.
+    The pairs are checked one source member at a time against all
+    destinations, and the error names the first failing pair in row-major
+    order, "from member i to member j", after the cut.
     """
     if src.layout != dst.layout or src.cut != dst.cut:
         raise ValueError(
             f"connecting_unitary needs records of one layout and cut, got "
             f"{src.cut.label(src.layout)} and {dst.cut.label(dst.layout)}"
         )
-    where = f"across {src.cut.label(src.layout)}"
-    (src, src_shape), (dst, dst_shape) = _stacked(src), _stacked(dst)
-    named = bool(src_shape or dst_shape)
     dim = dst.left.shape[-1]
     bounds = _unitarity_bound(src)
     dst_mt = dst.matrix.swapaxes(-1, -2)
@@ -365,18 +344,17 @@ def connecting_unitary(src: CutFactors, dst: CutFactors) -> np.ndarray:
         failing = (deviation > ATOL) | (defect > bounds[i])
         if failing.any():
             j = int(np.argmax(failing))
-            pair = f" from member {i} to member {j}" if named else ""
+            pair = f"across {src.cut.label(src.layout)} from member {i} to member {j}"
             if deviation[j] > ATOL:
                 raise NoConnectingUnitaryError(
-                    "left-side reduced operators differ by "
-                    f"{deviation[j]:.3e} {where}{pair}; no one-sided "
-                    "unitary on the right can connect these states"
+                    f"left-side reduced operators differ by {deviation[j]:.3e} "
+                    f"{pair}; no one-sided unitary on the right can connect these states"
                 )
             ranks = f"; Schmidt ranks {rank} and {dst.rank[j]}" if rank != dst.rank[j] else ""
             raise NoConnectingUnitaryError(
-                f"kernel completion {where}{pair} is not unitary "
+                f"kernel completion {pair} is not unitary "
                 f"(max|U^dagger U - I| = {defect[j]:.3e}{ranks}): the left reductions "
                 f"agree within {ATOL:g} but the Schmidt coefficients do not"
             )
         us[i] = u
-    return us.reshape(src_shape + dst_shape + (dim, dim))
+    return us

@@ -118,6 +118,9 @@ class CutSpec:
     left: str
     right: str
 
+    def __str__(self) -> str:
+        return f"{self.left}:{self.right}"
+
 
 @dataclass(frozen=True)
 class SetDecl:
@@ -307,8 +310,7 @@ def serialize(script: Script) -> str:
         elif isinstance(stmt, SimulateDecl):
             lines.append(f"simulate {stmt.task_name} protocol {stmt.protocol}")
         elif isinstance(stmt, CertifyDecl):
-            cut = stmt.cut if isinstance(stmt.cut, str) else f"{stmt.cut.left}:{stmt.cut.right}"
-            lines.append(f"certify {stmt.task_name} cut {cut}")
+            lines.append(f"certify {stmt.task_name} cut {stmt.cut}")
         else:
             raise TypeError(f"unknown statement type {type(stmt).__name__}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -274,6 +274,8 @@ class SubsetTask:
 
     def __post_init__(self):
         n = len(self.state_set)
+        if not isinstance(self.k, int):
+            raise ValueError(f"subset size k={self.k!r} must be an integer")
         if not 1 <= self.k < n:
             raise ValueError(f"subset size k={self.k} must satisfy 1 <= k < n={n}")
         check_stacked_dim(self.state_set, self.k, self.max_dim)

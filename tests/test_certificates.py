@@ -37,7 +37,7 @@ from subsetid.certificates import (
     orthogonal_hypotheses,
 )
 from subsetid.errors import ResourceLimitError, SettingError
-from subsetid.statespace import ATOL, StateVector, qubit_layout
+from subsetid.statespace import ATOL, StateVector, cut_matrix, is_maximally_entangled, qubit_layout
 
 AB = Cut.between("A", "B")
 
@@ -312,6 +312,47 @@ def test_entanglement_checked_only_on_equal_sides(monkeypatch):
     assert [c.axiom for c in result.certificates] == (
         [AXIOM_ONE_SIDED] * 4 + [AXIOM_MES, AXIOM_ONE_SIDED, AXIOM_MES]
     )
+
+
+def _stacked_reductions_agree(rows, side):
+    """All stacked components share their reduction on ``side`` within ATOL,
+    compared pairwise one component at a time."""
+    reductions = np.stack([m @ m.conj().T for m in (cut_matrix(r, side) for r in rows)])
+    return all(np.max(np.abs(red - reductions)) <= ATOL for red in reductions)
+
+
+@pytest.mark.parametrize(
+    "build, k",
+    [
+        (bell_basis, 2),
+        (ghz3_basis, 2),
+        (ghz4_basis, 2),
+        (doctored_set, 2),
+        (lambda: ges_basis(3), 2),
+        (ghz3_basis, 3),
+    ],
+    ids=["bell-k2", "ghz3-k2", "ghz4-k2", "doctored-k2", "ges3-k2", "ghz3-k3"],
+)
+def test_single_copy_premises_match_the_stacked_components(build, k):
+    # the module's shortcut: a premise decided on single-copy members equals
+    # the same predicate on every stacked component of every hypothesis
+    state_set = build()
+    hypotheses = hypothesis_ensemble(SubsetTask(state_set, k))
+    rows = [StateVector(h.layout, row) for h in hypotheses for row in h.components]
+    cuts = all_bipartitions(state_set.parties)
+    certs = certify_genuine(CertificateRequest(state_set, k)).certificates
+    for cut, cert in zip(cuts, certs, strict=True):
+        dims = rows[0].layout.dims
+        lpos, rpos = cut.positions(rows[0].layout)
+        equal_sides = math.prod(dims[i] for i in lpos) == math.prod(dims[i] for i in rpos)
+        stacked_mes = equal_sides and all(is_maximally_entangled(r, cut, ATOL) for r in rows)
+        assert (cert.axiom == AXIOM_MES) == stacked_mes, cert.cut
+        if cert.axiom == AXIOM_MES:
+            assert cert.premises["all-states-maximally-entangled"]
+        else:
+            identity_side = Cut(cut.right, cut.left) if cert.unitary_side == "left" else cut
+            agree = _stacked_reductions_agree(rows, identity_side)
+            assert cert.premises["equal-identity-side-reductions"] == agree, cert.cut
 
 
 def test_pair_guard(monkeypatch):

@@ -6,9 +6,13 @@ import pytest
 
 from subsetid import execute, render_structured, render_text
 from subsetid.errors import ExecutionError, ResourceLimitError, SettingError
-from subsetid.script import BasisFamily, Script, SetDecl
+from subsetid.script import BasisFamily, CertifyDecl, Script, SetDecl, SimulateDecl, TaskDecl
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: a set and a task on it, as a hand-built script would declare them
+BELL = SetDecl("x", BasisFamily("bell_basis", 2), line=1, column=1)
+BELL_TASK = TaskDecl("t", "x", 2, line=2, column=1)
 
 TRIO_SCRIPT = """\
 set trio = states[B1,B2,B3]
@@ -192,6 +196,38 @@ class TestExecutionErrors:
                 Script((SetDecl("e", BasisFamily("ges_basis"), line=1, column=1),)),
                 1,
                 "ges_basis needs a local dimension",
+            ),
+            (
+                Script((SetDecl("e", BasisFamily("ges_basis", 2.5), line=1, column=1),)),
+                1,
+                "ges_basis needs a local dimension, as in ges_basis(3), not 2.5",
+            ),
+            (
+                Script((SetDecl("e", BasisFamily("ges_basis", "3"), line=1, column=1),)),
+                1,
+                "not '3'",
+            ),
+            (
+                Script((SetDecl("f", BasisFamily("foo"), line=1, column=1),)),
+                1,
+                "unknown basis family 'foo'",
+            ),
+            (Script((BELL, TaskDecl("t", "y", 2, line=2, column=1))), 2, "unknown set 'y'"),
+            (Script((BELL, TaskDecl("t", "x", 2.5, line=2, column=1))), 2, "must be an integer"),
+            (
+                Script((BELL, BELL_TASK, SimulateDecl("u", "bell32", line=3, column=1))),
+                3,
+                "unknown task 'u'",
+            ),
+            (
+                Script((BELL, BELL_TASK, CertifyDecl("u", "auto", line=3, column=1))),
+                3,
+                "unknown task 'u'",
+            ),
+            (
+                Script((BELL, BELL_TASK, CertifyDecl("t", "bogus", line=3, column=1))),
+                3,
+                "unknown cut 'bogus'",
             ),
         ],
     )

@@ -154,8 +154,8 @@ AB = Cut.between("A", "B")
 
 
 def connect(src, dst, cut=AB):
-    """The connecting unitary from the two states' records across ``cut``."""
-    return connecting_unitary(cut_factors(src, cut), cut_factors(dst, cut))
+    """The connecting unitary from src to dst across ``cut``, from two stacks of one."""
+    return connecting_unitary(cut_factors([src], cut), cut_factors([dst], cut))[0, 0]
 
 
 class TestConnectingUnitary:
@@ -203,11 +203,11 @@ class TestNearTolerance:
         src, dst = _schmidt_state(src_eps), _schmidt_state(dst_eps, right=(2, 0, 1))
         m_src, m_dst = cut_matrix(src, AB), cut_matrix(dst, AB)
         assert np.max(np.abs(m_src @ m_src.conj().T - m_dst @ m_dst.conj().T)) <= ATOL
-        src, dst = cut_factors(src, AB), cut_factors(dst, AB)
+        src, dst = cut_factors([src], AB), cut_factors([dst], AB)
         if shared:
             # records that have already joined another pair give the same verdict
             for record in (src, dst):
-                assert_allclose(connecting_unitary(record, record), np.eye(3), atol=1e-9)
+                assert_allclose(connecting_unitary(record, record)[0, 0], np.eye(3), atol=1e-9)
         with pytest.raises(NoConnectingUnitaryError, match=r"max\|U\^dagger U - I\| = \d") as info:
             connecting_unitary(src, dst)
         assert ("Schmidt ranks" in str(info.value)) == (ranks is not None)
@@ -225,7 +225,7 @@ class TestNearTolerance:
         src, dst = _two_party_state(m), _two_party_state(m @ q.T)
         u = connect(src, dst)
         defect = np.max(np.abs(u.conj().T @ u - np.eye(3)))
-        bound = _unitarity_bound(cut_factors(src, AB))
+        bound = _unitarity_bound(cut_factors([src], AB))[0]
         assert 1e-9 < defect <= bound < 1e-5
         assert np.linalg.norm(cut_matrix(src, AB) @ u.T - cut_matrix(dst, AB)) <= bound
 
@@ -241,8 +241,8 @@ class TestNearTolerance:
 @pytest.mark.parametrize(
     "src, dst",
     [
-        (cut_factors(ghz3(1), Cut.between("A", "BC")), cut_factors(ghz3(2), Cut.between("B", "AC"))),
-        (cut_factors(bell(1), AB), cut_factors(ges_state(0, 0, 3), AB)),
+        (cut_factors([ghz3(1)], Cut.between("A", "BC")), cut_factors([ghz3(2)], Cut.between("B", "AC"))),
+        (cut_factors([bell(1)], AB), cut_factors([ges_state(0, 0, 3)], AB)),
     ],
     ids=["cut", "layout"],
 )
@@ -288,7 +288,7 @@ def test_connects_a_rotated_pair(pair):
     u = connect(src, dst)
     # unitary up to the rounding the pseudo-inverse amplifies; off by at
     # most the coefficients that count as zero, in both states, and that
-    bound = _unitarity_bound(cut_factors(src, AB))
+    bound = _unitarity_bound(cut_factors([src], AB))[0]
     assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= bound
     s = np.linalg.svd(cut_matrix(src, AB), compute_uv=False)
     dropped = 2 * np.linalg.norm(s[s <= ATOL])
@@ -306,6 +306,12 @@ def test_a_stacked_call_names_the_first_failing_pair():
 def test_cut_factors_refuses_an_empty_or_mixed_stack(states):
     with pytest.raises(ValueError, match="one or more states of one layout"):
         cut_factors(states, AB)
+
+
+def test_a_stack_of_one_connects_to_a_four_axis_array():
+    record = cut_factors([bell(1)], AB)
+    assert record.rank.shape == (1,) and record.matrix.shape == (1, 2, 2)
+    assert connecting_unitary(record, cut_factors([bell(2), bell(3)], AB)).shape == (1, 2, 2, 2)
 
 
 @st.composite
@@ -336,22 +342,22 @@ def member_stacks(draw):
 @settings(max_examples=100, deadline=None)
 @given(member_stacks())
 def test_stacked_pairs_match_single_pairs(stacks):
-    singles = [[cut_factors(s, AB) for s in states] for states in stacks]
+    singles = [[cut_factors([s], AB) for s in states] for states in stacks]
     src, dst = (cut_factors(states, AB) for states in stacks)
     expected = np.empty((len(singles[0]), len(singles[1]), 3, 3), dtype=np.complex128)
     first = None
     for i, a in enumerate(singles[0]):
         for j, b in enumerate(singles[1]):
             try:
-                expected[i, j] = connecting_unitary(a, b)
+                expected[i, j] = connecting_unitary(a, b)[0, 0]
             except NoConnectingUnitaryError as e:
                 first = first or (i, j, e)
     if first is None:
         assert np.array_equal(connecting_unitary(src, dst), expected)
-        assert np.array_equal(connecting_unitary(singles[0][0], dst), expected[0])
+        assert np.array_equal(connecting_unitary(singles[0][0], dst), expected[:1])
     else:
         i, j, error = first
         with pytest.raises(type(error)) as info:
             connecting_unitary(src, dst)
-        pair = f"across A:B from member {i} to member {j}"
-        assert str(info.value) == str(error).replace("across A:B", pair)
+        pair = f"from member {i} to member {j}"
+        assert str(info.value) == str(error).replace("from member 0 to member 0", pair)

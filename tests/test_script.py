@@ -44,6 +44,7 @@ def test_parse_well_formed():
     assert script.statements[2].family == StatesFamily(("B1", "B2", "B3"))
     assert script.statements[3] == TaskDecl("t", "trio", 2)
     assert script.statements[7].cut == CutSpec("AB", "CD")
+    assert str(script.statements[7].cut) == "AB:CD"
     assert script.statements[8].cut == "all"
 
 

@@ -7,18 +7,22 @@ report as JSON with sorted keys and fixed float formatting, so two runs of
 the same script produce byte-identical output; ``render_text`` is the
 human-oriented view of the same data.
 
-Errors found while executing carry the line of the offending statement.
-Resource limits keep their own exception type (the command line maps it to
-a dedicated exit code) but gain the same line prefix.
+The parser is the one judge of a script's form: a hand-built ``Script``
+runs only if ``parse(serialize(script))`` gives its statements back, and the
+engine checks only the domain (state names, protocols, cuts, resource
+guards). Errors found while executing carry the line of the offending
+statement. Resource limits keep their own exception type (the command line
+maps it to a dedicated exit code) but gain the same line prefix.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 
 from . import families
 from .certificates import ALL_CUTS, CertificateRequest, certify_genuine
-from .errors import ExecutionError, ResourceLimitError
+from .errors import ExecutionError, ResourceLimitError, ScriptError, SettingError
 from .protocols import (
     PROTOCOLS,
     check_locality,
@@ -30,13 +34,13 @@ from .protocols import (
 )
 from .script import (
     CertifyDecl,
-    CutSpec,
     Script,
     SetDecl,
     SimulateDecl,
     StatesFamily,
     TaskDecl,
     parse,
+    serialize,
 )
 from .statespace import ATOL, Cut
 from .subsets import (
@@ -76,11 +80,8 @@ class _Engine:
                 elif isinstance(stmt, SimulateDecl):
                     if only is None or "simulate" in only:
                         self.report["runs"].append(self.simulate(stmt))
-                elif isinstance(stmt, CertifyDecl):
-                    if only is None or "certify" in only:
-                        self.report["runs"].append(self.certify(stmt))
-            except ExecutionError:
-                raise
+                elif only is None or "certify" in only:
+                    self.report["runs"].append(self.certify(stmt))
             except ResourceLimitError as e:
                 raise ResourceLimitError(f"line {stmt.line}: {e}") from e
             except ValueError as e:
@@ -91,27 +92,13 @@ class _Engine:
         fam = stmt.family
         if isinstance(fam, StatesFamily):
             state_set = families.named_states(fam.names)
-        elif fam.kind == "bell_basis":
-            if fam.dim != 2:
-                raise ValueError("bell_basis exists for local dimension 2 only")
-            state_set = families.bell_basis()
+        elif fam.kind == "bell_basis" and fam.dim != 2:
+            raise ValueError("bell_basis exists for local dimension 2 only")
         elif fam.kind == "ges_basis":
-            # the parser always gives an integer, but a hand-built Script may not
-            if not isinstance(fam.dim, int):
-                raise ValueError(
-                    f"ges_basis needs a local dimension, as in ges_basis(3), not {fam.dim!r}"
-                )
             families.check_ges_size(fam.dim, self.max_dim)
             state_set = families.ges_basis(fam.dim)
-        elif fam.kind == "ghz3_basis":
-            state_set = families.ghz3_basis()
-        elif fam.kind == "ghz4_basis":
-            state_set = families.ghz4_basis()
-        else:
-            raise ValueError(
-                f"unknown basis family {fam.kind!r} "
-                "(available: bell_basis, ges_basis, ghz3_basis, ghz4_basis)"
-            )
+        else:  # bell_basis(2), ghz3_basis or ghz4_basis: builders without arguments
+            state_set = getattr(families, fam.kind)()
         self.sets[stmt.name] = state_set
         layout = state_set.layout
         self.report["sets"][stmt.name] = {
@@ -122,9 +109,6 @@ class _Engine:
         }
 
     def declare_task(self, stmt: TaskDecl):
-        # the parser checks scope, but a hand-built Script may name anything
-        if stmt.set_name not in self.sets:
-            raise ValueError(f"unknown set {stmt.set_name!r}")
         task = SubsetTask(self.sets[stmt.set_name], stmt.k, max_dim=self.max_dim)
         self.tasks[stmt.name] = task
         self.report["tasks"][stmt.name] = {
@@ -134,13 +118,8 @@ class _Engine:
             "stacked_dim": task.stacked_dim,
         }
 
-    def task(self, name: str) -> SubsetTask:
-        if name not in self.tasks:
-            raise ValueError(f"unknown task {name!r}")
-        return self.tasks[name]
-
     def simulate(self, stmt: SimulateDecl) -> dict:
-        task = self.task(stmt.task_name)
+        task = self.tasks[stmt.task_name]
         if stmt.protocol not in PROTOCOLS:
             raise ValueError(
                 f"unknown protocol {stmt.protocol!r} "
@@ -179,7 +158,7 @@ class _Engine:
         return record
 
     def certify(self, stmt: CertifyDecl) -> dict:
-        task = self.task(stmt.task_name)
+        task = self.tasks[stmt.task_name]
         layout = task.state_set.layout
         if stmt.cut == ALL_CUTS:
             cut = ALL_CUTS
@@ -190,10 +169,13 @@ class _Engine:
                     + ", ".join(layout.parties)
                 )
             cut = Cut.between(layout.parties[:1], layout.parties[1:])
-        elif isinstance(stmt.cut, CutSpec):
-            cut = self.explicit_cut(stmt.cut, layout)
         else:
-            raise ValueError(f"unknown cut {stmt.cut!r}; expected a split such as A:B, auto or all")
+            for side in (stmt.cut.left, stmt.cut.right):
+                for i, p in enumerate(side):
+                    if p in side[:i]:
+                        raise ValueError(f"party {p!r} repeats in cut {stmt.cut}")
+            cut = Cut.between(stmt.cut.left, stmt.cut.right)
+            cut.validate_for(layout)
         result = certify_genuine(
             CertificateRequest(
                 task.state_set, task.k, cut, tol=self.tolerance, max_dim=self.max_dim
@@ -220,17 +202,29 @@ class _Engine:
             record["genuine"] = result.verdict
         return record
 
-    @staticmethod
-    def explicit_cut(spec: CutSpec, layout) -> Cut:
-        for side in (spec.left, spec.right):
-            seen = set()
-            for p in side:
-                if p in seen:
-                    raise ValueError(f"party {p!r} repeats in cut {spec}")
-                seen.add(p)
-        cut = Cut.between(spec.left, spec.right)
-        cut.validate_for(layout)
-        return cut
+
+def _admitted(script: Script) -> Script:
+    """Return ``script`` if ``parse(serialize(script))`` gives its statements
+    back; otherwise raise ExecutionError with the parser's diagnostic and the
+    line of the first statement whose prefix does not rebuild."""
+    if not isinstance(script, Script):
+        raise TypeError(f"execute takes a Script or its text, not {type(script).__name__}")
+    stmts = tuple(script.statements)
+
+    def fault(n: int) -> str | None:
+        try:
+            rebuilt = parse(serialize(Script(stmts[:n]))).statements
+        except TypeError as e:  # from serialize: a part of a foreign type
+            return str(e)
+        except ScriptError as e:
+            return e.reason
+        return None if rebuilt == stmts[:n] else "the parser reads it back as another statement"
+
+    if fault(len(stmts)) is not None:
+        # a prefix that does not rebuild fails with every statement added to it
+        i = bisect.bisect_left(range(len(stmts)), True, key=lambda i: fault(i + 1) is not None)
+        raise ExecutionError(fault(i + 1), line=getattr(stmts[i], "line", None))
+    return script
 
 
 def execute(
@@ -242,14 +236,15 @@ def execute(
 ) -> dict:
     """Run a script (text or parsed) and return the report dict.
 
-    ``only`` restricts which run statements execute ({"simulate"},
-    {"certify"}, or None for both); declarations always run. Statements run
+    ``only`` restricts which run statements execute (a subset of {"simulate",
+    "certify"}, or None for both); declarations always run. Statements run
     one after another in script order, each simulate as one ``run_exact``
     call and each certify as one ``certify_genuine`` call.
     """
     check_settings(tolerance, max_dim)
-    if isinstance(script, str):
-        script = parse(script)
+    if not (only is None or isinstance(only, (set, frozenset)) and only <= {"simulate", "certify"}):
+        raise SettingError(f"only must be None or a set of 'simulate', 'certify', got {only!r}")
+    script = parse(script) if isinstance(script, str) else _admitted(script)
     return _Engine(tolerance, max_dim).run(script, only)
 
 

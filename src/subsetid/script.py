@@ -17,8 +17,10 @@ so ``cut AB:CD`` splits parties A, B from C, D. Parsing performs scope
 checking (names must be declared before use, never rebound, and a task must
 be built from a set), while domain-level validation, e.g. whether a state
 name or protocol exists, happens at execution where the richer context
-lives. Every diagnostic carries a line and column and, where useful, the
-set of tokens that would have been accepted.
+lives. The parser is the one judge of grammar and scope: ``execute`` runs a
+hand-built ``Script`` only if ``parse(serialize(script))`` gives its
+statements back. Every diagnostic carries a line and column and, where
+useful, the set of tokens that would have been accepted.
 
 Every character is checked before any grammar error is reported: outside a
 comment, only blanks (space, tab, carriage return), newlines, ASCII digits
@@ -176,9 +178,6 @@ class _Parser:
         self.ahead = next(tokens)
         self.scope: dict[str, str] = {}  # name -> "set" | "task"
 
-    def peek(self) -> Token:
-        return self.ahead
-
     def take(self) -> Token:
         tok = self.ahead
         self.ahead = next(self.tokens)
@@ -188,14 +187,14 @@ class _Parser:
         raise ScriptError(message, token.line, token.column, expected)
 
     def expect(self, kind: str, expected: tuple[str, ...]) -> Token:
-        tok = self.peek()
+        tok = self.ahead
         if tok.kind != kind:
             shown = tok.value if tok.kind != "end" else "end of input"
             self.fail(f"unexpected {shown!r}", tok, expected)
         return self.take()
 
     def expect_word(self, *words: str) -> Token:
-        tok = self.peek()
+        tok = self.ahead
         if tok.kind != "name" or tok.value not in words:
             shown = tok.value if tok.kind != "end" else "end of input"
             self.fail(f"unexpected {shown!r}", tok, words)
@@ -227,7 +226,7 @@ class _Parser:
 
     def script(self) -> Script:
         stmts: list[Statement] = []
-        while self.peek().kind != "end":
+        while self.ahead.kind != "end":
             kw = self.expect_word("set", "task", "simulate", "certify")
             stmts.append(getattr(self, kw.value)(kw))
         return Script(tuple(stmts))
@@ -250,7 +249,7 @@ class _Parser:
             return BasisFamily(tok.value)
         self.expect("[", ("[",))
         names = [self.expect("name", ("a state name",)).value]
-        while self.peek().kind == ",":
+        while self.ahead.kind == ",":
             self.take()
             names.append(self.expect("name", ("a state name",)).value)
         self.expect("]", ("]", ","))
@@ -293,13 +292,17 @@ def parse(text: str) -> Script:
 
 
 def serialize(script: Script) -> str:
-    """Canonical text form, one statement per line; parse(serialize(s)) == s."""
+    """Canonical text form, one statement per line; parse(serialize(s)) == s
+    whenever ``parse`` built ``s``. A statement or family of another type
+    raises TypeError; other parts are written as ``str`` gives them."""
     lines = []
     for stmt in script.statements:
         if isinstance(stmt, SetDecl):
             fam = stmt.family
             if isinstance(fam, StatesFamily):
                 family = "states[" + ",".join(fam.names) + "]"
+            elif not isinstance(fam, BasisFamily):
+                raise TypeError(f"unknown family type {type(fam).__name__}")
             elif fam.dim is not None:
                 family = f"{fam.kind}({fam.dim})"
             else:

@@ -49,11 +49,12 @@ def check_settings(tol: float, max_dim: int) -> None:
     Predicates compare measured deviations against ``tol``; a NaN tolerance
     makes every comparison false, an infinite one passes every check, zero
     demands exact floating-point equality and a negative one fails every
-    check. A guard below 1 admits no stacked state at all.
+    check. A guard below 1 admits no stacked state at all. A bool is refused
+    as either, though Python counts True as the number 1.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise SettingError(f"tolerance must be a finite number above 0, got {tol!r}")
-    if not (isinstance(max_dim, numbers.Integral) and max_dim >= 1):
+    if isinstance(max_dim, bool) or not (isinstance(max_dim, numbers.Integral) and max_dim >= 1):
         raise SettingError(f"max_dim must be an integer of at least 1, got {max_dim!r}")
 
 
@@ -274,7 +275,7 @@ class SubsetTask:
 
     def __post_init__(self):
         n = len(self.state_set)
-        if not isinstance(self.k, int):
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
             raise ValueError(f"subset size k={self.k!r} must be an integer")
         if not 1 <= self.k < n:
             raise ValueError(f"subset size k={self.k} must satisfy 1 <= k < n={n}")

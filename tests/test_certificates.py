@@ -383,13 +383,15 @@ def test_largest_pair_task_inside_the_dimension_guard():
     assert (cert.kappa, cert.bound, cert.verdict) == (32640, 256, CERTIFIED)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9, "1e-9"])
+@pytest.mark.parametrize(
+    "tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9, "1e-9", True]
+)
 def test_request_refuses_meaningless_tolerances(tol):
     with pytest.raises(SettingError, match="tolerance"):
         CertificateRequest(bell_basis(), 2, AB, tol=tol)
 
 
-@pytest.mark.parametrize("max_dim", [0, -5, 2.5])
+@pytest.mark.parametrize("max_dim", [0, -5, 2.5, True])
 def test_request_refuses_meaningless_dimension_guards(max_dim):
     with pytest.raises(SettingError, match="max_dim"):
         CertificateRequest(bell_basis(), 2, AB, max_dim=max_dim)

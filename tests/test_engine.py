@@ -2,11 +2,22 @@ import itertools
 import json
 from pathlib import Path
 
+import hypothesis
 import pytest
+from test_script import scripts
 
 from subsetid import execute, render_structured, render_text
 from subsetid.errors import ExecutionError, ResourceLimitError, SettingError
-from subsetid.script import BasisFamily, CertifyDecl, Script, SetDecl, SimulateDecl, TaskDecl
+from subsetid.script import (
+    BasisFamily,
+    CertifyDecl,
+    CutSpec,
+    Script,
+    SetDecl,
+    SimulateDecl,
+    TaskDecl,
+    parse,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -191,44 +202,92 @@ class TestExecutionErrors:
                 3,
                 "repeats in cut",
             ),
-            # a parsed script always has the dimension; a hand-built one may not
+            # a hand-built Script runs only if the parser rebuilds it from its
+            # text, so it fails with the parser's diagnostic on its own line
             (
                 Script((SetDecl("e", BasisFamily("ges_basis"), line=1, column=1),)),
                 1,
-                "ges_basis needs a local dimension",
+                "unexpected 'end of input'",
             ),
             (
                 Script((SetDecl("e", BasisFamily("ges_basis", 2.5), line=1, column=1),)),
                 1,
-                "ges_basis needs a local dimension, as in ges_basis(3), not 2.5",
+                "unexpected character '.'",
             ),
             (
                 Script((SetDecl("e", BasisFamily("ges_basis", "3"), line=1, column=1),)),
                 1,
-                "not '3'",
+                "reads it back as another statement",
             ),
             (
                 Script((SetDecl("f", BasisFamily("foo"), line=1, column=1),)),
                 1,
-                "unknown basis family 'foo'",
+                "unexpected 'foo'",
             ),
-            (Script((BELL, TaskDecl("t", "y", 2, line=2, column=1))), 2, "unknown set 'y'"),
-            (Script((BELL, TaskDecl("t", "x", 2.5, line=2, column=1))), 2, "must be an integer"),
+            (Script((BELL, TaskDecl("t", "y", 2, line=2, column=1))), 2, "unknown name 'y'"),
+            (
+                Script((BELL, TaskDecl("t", "x", 2.5, line=2, column=1))),
+                2,
+                "unexpected character '.'",
+            ),
             (
                 Script((BELL, BELL_TASK, SimulateDecl("u", "bell32", line=3, column=1))),
                 3,
-                "unknown task 'u'",
+                "unknown name 'u'",
             ),
             (
                 Script((BELL, BELL_TASK, CertifyDecl("u", "auto", line=3, column=1))),
                 3,
-                "unknown task 'u'",
+                "unknown name 'u'",
             ),
             (
                 Script((BELL, BELL_TASK, CertifyDecl("t", "bogus", line=3, column=1))),
                 3,
-                "unknown cut 'bogus'",
+                "unexpected 'end of input'",
             ),
+            (Script((SetDecl("s", "bell_basis", line=1, column=1),)), 1, "unknown family type str"),
+            (
+                Script((BELL, BELL_TASK, CertifyDecl("t", CutSpec("A", 5), line=3, column=1))),
+                3,
+                "unexpected '5'",
+            ),
+            (
+                Script((SetDecl("g", BasisFamily("ghz3_basis", 5), line=1, column=1),)),
+                1,
+                "unexpected '('",
+            ),
+            (
+                Script((BELL, SetDecl("x", BasisFamily("ghz3_basis"), line=2, column=1))),
+                2,
+                "name 'x' is already bound",
+            ),
+            (Script((BELL, TaskDecl("x", "x", 2, line=2, column=1))), 2, "already bound"),
+            (
+                Script((SetDecl("set", BasisFamily("ghz3_basis"), line=1, column=1),)),
+                1,
+                "'set' is a keyword",
+            ),
+            (
+                Script((SetDecl("a b", BasisFamily("ghz3_basis"), line=1, column=1),)),
+                1,
+                "unexpected 'b'",
+            ),
+            (Script((BELL, TaskDecl("t", "x", True, line=2, column=1))), 2, "unexpected 'True'"),
+            # an incomplete statement is blamed, not the one after it
+            (
+                Script(
+                    (
+                        BELL,
+                        BELL_TASK,
+                        SimulateDecl("t", "", line=3, column=1),
+                        CertifyDecl("t", "auto", line=4, column=1),
+                    )
+                ),
+                3,
+                "unexpected 'end of input'",
+            ),
+            # a non-statement has no line of its own
+            (Script((BELL, "simulate t protocol bell32")), None, "unknown statement type str"),
         ],
     )
     def test_located_failures(self, source, line, fragment):
@@ -236,6 +295,20 @@ class TestExecutionErrors:
             execute(source)
         assert exc.value.line == line
         assert fragment in str(exc.value)
+
+    def test_only_scripts_and_text_are_executed(self):
+        with pytest.raises(TypeError, match="not int"):
+            execute(5)
+
+    @pytest.mark.parametrize("first", [3, 17, 38])
+    def test_a_script_is_refused_at_its_first_bad_statement(self, first):
+        # the prefixes are bisected; a later bad statement must not be blamed
+        stmts = [BELL, BELL_TASK] + [SimulateDecl("t", "bell32", line=n) for n in range(3, 40)]
+        for bad in (first, 39):
+            stmts[bad - 1] = SimulateDecl("u", "bell32", line=bad)
+        with pytest.raises(ExecutionError, match="unknown name 'u'") as exc:
+            execute(Script(tuple(stmts)), only=set())
+        assert exc.value.line == first
 
     def test_protocol_checked_before_hypotheses_are_built(self, monkeypatch):
         def refuse(task):
@@ -270,9 +343,20 @@ class TestExecutionErrors:
             execute("set x = bell_basis(2)\ntask t = subset(x, k=3)", max_dim=32)
 
     @pytest.mark.parametrize(
-        "settings", [{"tolerance": float("nan")}, {"tolerance": float("inf")}, {"max_dim": -5}]
+        "settings",
+        [
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
+            {"max_dim": -5},
+            {"tolerance": True},
+            {"max_dim": True},
+            {"only": {"simulate "}},
+            {"only": 5},
+            {"only": "simulate"},
+        ],
     )
-    def test_meaningless_settings_are_refused(self, settings):
+    def test_meaningless_settings_are_refused(self, settings, monkeypatch):
+        monkeypatch.setattr("subsetid.engine._Engine", None)  # nothing may run
         # refused before any statement runs, simulate as well as certify
         with pytest.raises(SettingError):
             execute(TRIO_SCRIPT + "certify t cut auto\n", **settings)
@@ -286,6 +370,20 @@ class TestExecutionErrors:
             "set x = states[B1,B3]\ntask t = subset(x, k=1)\n", only={"simulate"}
         )
         assert report["tasks"]["t"]["stacked_dim"] == 4
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as e:  # noqa: BLE001 - the failure itself is the outcome
+        return type(e), str(e)
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(scripts())
+def test_a_parsed_script_runs_as_its_text(source):
+    # the gate admits every Script the parser built, and running it changes nothing
+    assert _outcome(lambda: execute(parse(source))) == _outcome(lambda: execute(source))
 
 
 class TestTextRendering:

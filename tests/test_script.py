@@ -117,6 +117,14 @@ def test_serialize_canonical_form():
     assert serialize(script) == "set x = states[B1,B4]\ntask y = subset(x, k=2)\n"
 
 
+@pytest.mark.parametrize(
+    "stmt", [SetDecl("s", "bell_basis"), "set s = ghz3_basis", None], ids=["family", "str", "none"]
+)
+def test_serialize_refuses_parts_the_parser_never_builds(stmt):
+    with pytest.raises(TypeError, match="unknown (family|statement) type"):
+        serialize(Script((stmt,)))
+
+
 # --- generated scripts ---
 
 _FAMILIES = ("bell_basis(2)", "ges_basis(3)", "ghz3_basis", "ghz4_basis", "states[B1,B3,B4]")

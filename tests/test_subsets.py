@@ -137,6 +137,9 @@ class TestSubsetTask:
             SubsetTask(bell_basis(), 0)
         with pytest.raises(ValueError):
             SubsetTask(bell_basis(), 4)
+        # Python counts True as 1, but a flag is not a subset size
+        with pytest.raises(ValueError, match="must be an integer"):
+            SubsetTask(bell_basis(), True)
 
     def test_stacked_dimension_guard(self):
         with pytest.raises(ResourceLimitError, match="guard"):

@@ -303,17 +303,24 @@ def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
             g, shape = len(vecs), vecs.shape[1:]
             # explicit sizes: an axis may have shrunk to a zero projector's rank 0
             before, after = math.prod(shape[:ax]), math.prod(shape[ax + 1:])
-            if bases[ax] is None and f.columns is not None:
-                coeffs = np.take(vecs.reshape(g, before, shape[ax], after), f.columns, axis=2)
-                if f.signs is not None:
-                    coeffs *= f.signs
+            selects = bases[ax] is None and f.columns is not None
+            if selects and s == last:  # the last step needs only each coordinate's mass
+                reals = vecs.reshape(g, before, shape[ax], after).view(np.float64)
+                # take, not [:, columns]: a C-ordered result sums in `@ summing` as a gather's does
+                rows = np.einsum("gicj,gicj->gc", reals, reals).take(f.columns, axis=1)
             else:
-                op = f.adjoint if bases[ax] is None else f.adjoint @ bases[ax]
-                coeffs = (op @ vecs.reshape(g * before, shape[ax], after)).reshape(
-                    g, before, len(op), after
-                )
-            reals = coeffs.view(np.float64)  # real and imaginary parts side by side
-            masses = (np.einsum("girj,girj->gr", reals, reals)[:, None, :] @ f.summing)[:, 0]
+                if selects:
+                    coeffs = np.take(vecs.reshape(g, before, shape[ax], after), f.columns, axis=2)
+                    if f.signs is not None:
+                        coeffs *= f.signs
+                else:
+                    op = f.adjoint if bases[ax] is None else f.adjoint @ bases[ax]
+                    coeffs = (op @ vecs.reshape(g * before, shape[ax], after)).reshape(
+                        g, before, len(op), after
+                    )
+                reals = coeffs.view(np.float64)  # real and imaginary parts side by side
+                rows = np.einsum("girj,girj->gr", reals, reals)
+            masses = (rows[:, None, :] @ f.summing)[:, 0]
             dropped = masses < prune
             pruned[comps] += np.where(dropped, masses, 0.0).sum(axis=1)
             labels = [prefix + ((m.party, o),) for o in m.outcomes]
@@ -365,8 +372,13 @@ def run_exact(
     stacked amplitudes together (256 KiB), and always holds at least one
     hypothesis; its rows are built at once by :func:`stacked_rows` and
     dropped before the next chunk, so memory holds one chunk's stacked
-    vectors, never the ensemble's. Rows are party-major by construction, so
-    each is reshaped in place to one axis per party, in layout order.
+    vectors, never the ensemble's. That multiplies out each subset's
+    members once and gathers all k! orderings from the product, each a
+    coordinate permutation of it (exact up to the association of the
+    product); :attr:`MixedHypothesis.components` calls the same function, so
+    a hypothesis's rows carry the same bits in a chunk as alone. Rows are
+    party-major by construction, so each is reshaped in place to one axis
+    per party, in layout order.
 
     Each projector is factored once per call, P_o = W_o W_o^†, with W_o the
     eigenvectors of P_o whose eigenvalues exceed 1/2, and the W_o^† of a
@@ -396,7 +408,11 @@ def run_exact(
     measurement gathers the selected coordinates of the node's rows,
     negating where the sign is -1, instead of multiplying. The matmul's row
     computes the same +-x_c plus exact zeros, so the gather gives its bits,
-    up to the sign of a zero, which the masses square away. A party
+    up to the sign of a zero, which the masses square away. When that
+    selection is also the last step, only masses are needed, so the mass of
+    every coordinate is read off the node's rows and the selected ones
+    picked, with no gather of coefficients: each selected mass sums the
+    same squares in the same order as the gathered row would. A party
     measured again acts through W'^† W_o and stays on the matmul. All of
     this holds only for projective measurements, so after the locality
     check (whose LocalityError comes first) a protocol that fails
@@ -406,8 +422,11 @@ def run_exact(
     if not hypotheses:
         raise ValueError("run_exact needs at least one hypothesis")
     layout = hypotheses[0].layout
+    # the stacked layout is fixed by the single-copy layout and k; compare
+    # those rather than build every hypothesis's layout
+    shape = (hypotheses[0].state_set.layout, len(hypotheses[0].subset_indices))
     for h in hypotheses[1:]:
-        if h.layout != layout:
+        if (h.state_set.layout, len(h.subset_indices)) != shape:
             raise ValueError("hypotheses must share the stacked layout")
     check_locality(protocol, layout)
     checked = validate(protocol)
@@ -489,8 +508,15 @@ def perfect_identification(report: SimulationReport, classifier: Classifier) -> 
 
 
 def _total_variation(p: dict, q: dict) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(t, 0.0) - q.get(t, 0.0)) for t in keys)
+    """Half the L1 distance, summed over p's transcripts in insertion order,
+    then over q's that p lacks, so the float does not follow the hash seed."""
+    total = 0.0
+    for t, x in p.items():
+        total += abs(x - q.get(t, 0.0))
+    for t, y in q.items():
+        if t not in p:
+            total += abs(y)
+    return 0.5 * total
 
 
 def order_blindness_verdict(report: SimulationReport, tol: float = ATOL) -> Verdict:

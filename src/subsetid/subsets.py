@@ -14,10 +14,13 @@ the rho_i.
 A :class:`MixedHypothesis` is light: it names its subset and its state set,
 and builds the k! stacked amplitude vectors as one (k!, dim) array each time
 ``components`` is read. :func:`stacked_rows` is the one place those rows are
-made: it broadcasts the members' amplitude rows straight into the
-party-major layout of :func:`stacked_layout`, for any list of orderings, so
-a simulation can build the rows of several consecutive hypotheses at once.
-Nothing is cached, so a simulation that builds a bounded chunk of
+made, for any list of orderings, so a simulation can build the rows of
+several consecutive hypotheses at once. The orderings of one subset differ
+only in which copy holds which member, so in the party-major layout each
+ordering's row is a fixed coordinate permutation of the subset's product:
+each subset's members are multiplied out once, and every ordering's row is
+gathered from that product through a permutation cached per (dims, k).
+Nothing else is cached, so a simulation that builds a bounded chunk of
 hypotheses at a time holds that chunk's rows, never the ensemble's.
 :func:`stacked_state` builds a single ordering the long way (copy
 relabelling, Kronecker products and a factor permutation); the engine
@@ -31,7 +34,7 @@ import itertools
 import math
 import numbers
 from dataclasses import InitVar, dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -234,29 +237,75 @@ class MixedHypothesis:
     def components(self) -> np.ndarray:
         """Read-only (k!, dim) complex128 array: row m is the party-major
         stacked state of the m-th ordering, built by :func:`stacked_rows` on
-        every access and not kept."""
+        every access and not kept: the subset's product once, then one
+        gather lays out all k! orderings."""
         return stacked_rows(self.state_set, self.orderings)
+
+
+@lru_cache(maxsize=8)
+def _copy_permutations(dims: tuple[int, ...], k: int) -> tuple[dict, np.ndarray]:
+    """Every ordering of k copies, as a row number and as a gather.
+
+    The k! permutations sigma of range(k) are taken in lexicographic order;
+    the returned dict maps each sigma to its number j. Row j of the
+    read-only (k!, dim) table ``perms`` serves the ordering whose copy t
+    holds member sigma(t) of a sorted subset: entry x is the coordinate of
+    the subset's copy-major product that holds that ordering's party-major
+    coordinate x, since factor (party p, copy t) of the ordering is factor
+    (copy sigma(t), party p) of the product. Entries use the smallest
+    unsigned type that holds every index.
+    """
+    n = len(dims)
+    dim = math.prod(dims) ** k
+    copy_major = np.arange(dim, dtype=np.min_scalar_type(dim - 1)).reshape(tuple(dims) * k)
+    sigmas = list(itertools.permutations(range(k)))
+    perms = np.stack([
+        copy_major.transpose([s * n + p for p in range(n) for s in sigma]).reshape(-1)
+        for sigma in sigmas
+    ])
+    perms.flags.writeable = False
+    return {sigma: j for j, sigma in enumerate(sigmas)}, perms
 
 
 def stacked_rows(state_set: StateSet, orders: Sequence[Sequence[int]]) -> np.ndarray:
     """Read-only (count, dim) complex128 array: row m is the party-major
     stacked state of ``orders[m]``, which lists one member index per copy.
 
-    Each copy t's member rows are broadcast onto the factors (party, t) and
-    the k copies multiplied out, with no Kronecker product and no factor
-    permutation. The orderings may come from several subsets of one size.
+    The orderings may come from several subsets of one size. Each distinct
+    subset gets one product: its sorted members' amplitude rows multiplied
+    out copy-major, ((psi_s0 x psi_s1) x psi_s2) ..., with no Kronecker
+    product. One ``np.take`` through the cached gathers of
+    :func:`_copy_permutations` then lays out every ordering of every
+    product party-major. Callers list each subset's orderings whole and in
+    lexicographic order, as :func:`orderings` does, and then that gather is
+    already the answer; other lists cost one more row gather.
+
+    Soundness: if o_t = s_sigma(t), the ordering's amplitude at party-major
+    coordinates x is prod_t psi_{s_sigma(t)}(x_{., t}), the product's
+    amplitude with copy sigma(t) holding x_{., t}. So each row is a
+    coordinate permutation of its subset's product, exact up to the
+    association of the product: the sorted ordering gets the bits of
+    multiplying its members out in copy order, and every other ordering the
+    same factors multiplied in sorted order.
     """
-    orders = np.array(orders)
-    count, k = orders.shape
-    dims = state_set.layout.dims
-    rows = state_set.amplitudes
-    out = reduce(np.multiply, (
-        rows[orders[:, t]].reshape((count,) + tuple(
-            d if s == t else 1 for d in dims for s in range(k)
-        ))
-        for t in range(k)
-    ))
-    out = out.reshape(count, -1)
+    k = len(orders[0])
+    position, perms = _copy_permutations(state_set.layout.dims, k)
+    subsets: dict[tuple[int, ...], int] = {}
+    index = []
+    for o in orders:
+        members = tuple(sorted(o))
+        # copy t of the ordering holds member sigma[t] of its sorted subset
+        sigma = tuple(map(members.index, o))
+        if sigma not in position:
+            raise ValueError(f"ordering {tuple(o)} does not list {k} distinct members")
+        index.append(subsets.setdefault(members, len(subsets)) * len(perms) + position[sigma])
+    factors = state_set.amplitudes[np.array(list(subsets))]
+    products = factors[:, 0]
+    for t in range(1, k):
+        products = (products[:, :, None] * factors[:, t, None, :]).reshape(len(factors), -1)
+    out = np.take(products, perms, axis=1).reshape(-1, products.shape[1])
+    if index != list(range(len(out))):
+        out = out[index]
     out.flags.writeable = False
     return out
 

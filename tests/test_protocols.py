@@ -1,6 +1,10 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from subsetid import (
 from subsetid.acceptance import _EXPECTED_SUPPORT
 from subsetid.errors import AmbiguityError, CoverageError, LocalityError, SettingError
 from subsetid.protocols import PROTOCOLS, PRUNE_TOL, _chunks, _Factored
+from subsetid.subsets import stacked_state
 
 
 def bell32_report():
@@ -194,6 +199,16 @@ class TestRunExact:
         protocol, _ = builtin_bell32_variants()
         with pytest.raises(ValueError, match="at least one hypothesis"):
             run_exact(protocol, [])
+
+    def test_hypotheses_share_the_stacked_layout(self):
+        protocol = PROTOCOLS["bell32"]()
+        pair = MixedHypothesis((0, 1), bell_basis())
+        for other in (MixedHypothesis((0, 1, 2), bell_basis()), MixedHypothesis((0, 1), ghz3_basis())):
+            with pytest.raises(ValueError, match="share the stacked layout"):
+                run_exact(protocol, [pair, other])
+        # another set on the same single-copy layout stacks the same way
+        trio = MixedHypothesis((0, 2), named_states(["B1", "B2", "B3"]))
+        assert len(run_exact(protocol, [pair, trio]).distributions) == 2
 
     @pytest.mark.parametrize("prune", [1.0, 2.0, float("inf"), float("nan"), -0.1])
     def test_refuses_a_prune_outside_zero_to_one(self, prune):
@@ -425,6 +440,35 @@ class TestCoordinateSelection:
             protocol, hypothesis_ensemble(SubsetTask(ges_basis(3), 2))
         )
 
+    @pytest.mark.parametrize("second", ["dense", "parity"])
+    def test_three_copies_of_ges3_match_both_references(self, second):
+        """ges(3) at k=3: every subset's six orderings, 3-cycles included,
+        are gathered from one product. Digit parity on A gathers A's
+        coordinates; a coarse-grained random basis on B then multiplies,
+        while parity on B, a last-step selection, reads its masses off the
+        rows. Both must give the per-ordering walk's bits, and the dense
+        route, fed rows built the Kronecker way, within 1e-12."""
+        task = SubsetTask(ges_basis(3), 3)
+        rng = np.random.default_rng(2603)
+        last = (
+            _random_measurement("B", 27, 3, rng) if second == "dense"
+            else _digit_parity("B", 3, 3)
+        )
+        protocol = Protocol("parity-" + second, (
+            ProtocolStep(_digit_parity("A", 3, 3)), ProtocolStep(last),
+        ))
+        hypotheses = hypothesis_ensemble(task)
+        _assert_matches_the_per_ordering_walk(protocol, hypotheses)
+        report = run_exact(protocol, hypotheses[:2])
+        for h, dist in zip(report.hypotheses, report.distributions):
+            kronecker = SimpleNamespace(layout=h.layout, components=np.array([
+                stacked_state(task.state_set, o).amplitudes for o in h.orderings
+            ]))
+            dense = dense_distribution(protocol, kronecker)
+            assert set(dist) == set(dense)
+            for t in dist:
+                assert dist[t] == pytest.approx(dense[t], abs=1e-12)
+
     def test_bell_adaptive_matches_the_per_ordering_walk(self):
         bell = bell_basis().states
         computational = basis_measurement("B", np.eye(4))
@@ -482,6 +526,27 @@ class TestIdentification:
         task = SubsetTask(named_states(["B1", "B2", "B3"]), 2)
         hypothesis = MixedHypothesis((0, 2), task.state_set)
         assert order_blindness_verdict(run_exact(protocol, [hypothesis])).ok
+
+    def test_order_blindness_witness_ignores_the_hash_seed(self):
+        # transcripts are tuples of strings, hashed per process; the witness
+        # must not follow the order in which a set would list them
+        script = (
+            "import subsetid as s\n"
+            "b = s.ges_basis(3)\n"
+            "p = s.Protocol('every-party', tuple(\n"
+            "    s.ProtocolStep(s.basis_measurement(q, b.states)) for q in 'AB'))\n"
+            "r = s.run_exact(p, s.hypothesis_ensemble(s.SubsetTask(b, 2)))\n"
+            "print(repr(s.order_blindness_verdict(r).witness))\n"
+        )
+        witnesses = {
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                timeout=120, env={**os.environ, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1", "2")
+        }
+        assert len(witnesses) == 1
+        assert "'hypothesis': (0, 3)" in witnesses.pop()
 
     def test_coverage_error_names_the_transcript(self):
         report, _ = bell32_report()

@@ -15,6 +15,7 @@ from subsetid import (
     bell,
     bell_basis,
     enumerate_subsets,
+    ges_basis,
     ghz3_basis,
     hypothesis_ensemble,
     named_states,
@@ -22,7 +23,7 @@ from subsetid import (
 )
 from subsetid.errors import ResourceLimitError
 from subsetid.statespace import Factor, Layout, StateVector, qubit_layout
-from subsetid.subsets import stacked_state
+from subsetid.subsets import _copy_permutations, stacked_rows, stacked_state
 
 
 def test_enumerate_subsets_order():
@@ -190,6 +191,83 @@ def test_components_are_the_stacked_states(case):
         assert h.layout == stacked_state(state_set, h.orderings[0]).layout
         for row, o in zip(rows, h.orderings):
             assert_allclose(row, stacked_state(state_set, o).amplitudes, rtol=0, atol=1e-15)
+        # the sorted ordering multiplies its members in copy order, as the
+        # Kronecker route does, so its row carries the same bits
+        assert np.array_equal(rows[0], stacked_state(state_set, h.orderings[0]).amplitudes)
+
+
+def _random_set(dims, n, seed):
+    """n orthonormal members on parties A, B, C... of the given dimensions."""
+    rng = np.random.default_rng(seed)
+    dim = math.prod(dims)
+    z = rng.normal(size=(dim, n)) + 1j * rng.normal(size=(dim, n))
+    layout = Layout(tuple(Factor(p, 1, d) for p, d in zip("ABC", dims)))
+    return StateSet(tuple(StateVector(layout, row) for row in np.linalg.qr(z)[0].T))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_three_parties_of_unequal_dimension(k):
+    # dims (2, 3, 2): each party's block of k copies is (d,)*k, so a wrong
+    # axis order in the copy permutation cannot hide behind equal sizes
+    state_set = _random_set((2, 3, 2), 5, seed=k)
+    for h in hypothesis_ensemble(SubsetTask(state_set, k)):
+        rows = h.components
+        assert rows.shape == (math.factorial(k), 12 ** k)
+        for row, o in zip(rows, h.orderings):
+            assert_allclose(row, stacked_state(state_set, o).amplitudes, rtol=0, atol=1e-15)
+
+
+def test_one_copy_is_the_member_itself():
+    # k=1 has the identity as its only permutation
+    state_set = _random_set((2, 3, 2), 4, seed=7)
+    position, perms = _copy_permutations((2, 3, 2), 1)
+    assert position == {(0,): 0} and perms.tolist() == [list(range(12))]
+    rows = stacked_rows(state_set, [(2,), (0,), (3,)])
+    assert np.array_equal(rows, state_set.amplitudes[[2, 0, 3]])
+
+
+def test_copy_permutations_are_cached_read_only_gathers():
+    position, perms = _copy_permutations((2, 2), 3)
+    assert _copy_permutations((2, 2), 3)[1] is perms
+    assert not perms.flags.writeable
+    assert perms.dtype == np.uint8 and perms.shape == (6, 64)
+    assert list(position) == list(itertools.permutations(range(3)))
+    assert list(position.values()) == list(range(6))
+    # each row is a permutation of the coordinates
+    assert all(sorted(row) == list(range(64)) for row in perms.tolist())
+    assert _copy_permutations((4, 4), 3)[1].dtype == np.uint16
+
+
+def test_orderings_in_any_order_and_from_any_subsets():
+    # a subset's orderings partly listed, out of order, split or repeated,
+    # mixed with another subset's: every row is still its ordering's, with
+    # the bits the whole subset's rows give it
+    state_set = bell_basis()
+    orders = [(2, 0, 1), (0, 1, 2), (3, 1, 0), (1, 2, 0), (0, 1, 2), (1, 0, 3)]
+    rows = stacked_rows(state_set, orders)
+    assert rows.shape == (6, 64) and not rows.flags.writeable
+    for row, o in zip(rows, orders):
+        assert_allclose(row, stacked_state(state_set, o).amplitudes, rtol=0, atol=1e-15)
+        whole = MixedHypothesis(tuple(sorted(o)), state_set)
+        assert np.array_equal(row, whole.components[whole.orderings.index(o)])
+
+
+@pytest.mark.parametrize("orders", [[(1, 1)], [(0, 1), (2, 2)], [(0, 1), (2, 3, 1)]])
+def test_an_ordering_lists_k_distinct_members(orders):
+    with pytest.raises(ValueError, match="distinct members"):
+        stacked_rows(bell_basis(), orders)
+
+
+@pytest.mark.parametrize("family,k", [("ges3", 2), ("ghz3", 3), ("bell", 1)])
+def test_a_chunk_has_the_bits_of_its_hypotheses(family, k):
+    # run_exact builds the rows of consecutive hypotheses at once; each
+    # hypothesis's block must be its components, bit for bit
+    state_set = {"ges3": lambda: ges_basis(3), "ghz3": ghz3_basis, "bell": bell_basis}[family]()
+    hypotheses = hypothesis_ensemble(SubsetTask(state_set, k))
+    rows = stacked_rows(state_set, [o for h in hypotheses for o in h.orderings])
+    blocks = np.split(rows, len(hypotheses))
+    for h, block in zip(hypotheses, blocks):
+        assert np.array_equal(block, h.components)
 
 
 def test_component_orderings_cover_all_permutations():

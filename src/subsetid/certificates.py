@@ -71,6 +71,7 @@ from .subsets import (
     StateSet,
     check_settings,
     check_stacked_dim,
+    check_subset_size,
     enumerate_subsets,
 )
 
@@ -108,9 +109,7 @@ class CertificateRequest:
 
     def __post_init__(self):
         check_settings(self.tol, self.max_dim)
-        d = len(self.state_set)
-        if not 1 < self.k < d:
-            raise ValueError(f"subset size k={self.k} must satisfy 1 < k < D={d}")
+        check_subset_size(self.k, len(self.state_set), least=2)
         if not isinstance(self.cut, Cut) and self.cut != ALL_CUTS:
             raise ValueError(f"cut must be a Cut or the marker {ALL_CUTS!r}")
         check_stacked_dim(self.state_set, self.k, self.max_dim)

@@ -113,15 +113,15 @@ def _cmd_families(args) -> int:
             print("error: ges needs a dimension", file=sys.stderr)
             return EXIT_USAGE
         d = params.pop(0)
-        if d < 2:
-            print("error: ges dimension must be at least 2", file=sys.stderr)
-            return EXIT_USAGE
         try:
             check_ges_size(d, DEFAULT_MAX_DIM)
+            state_set = ges_basis(d)
         except ResourceLimitError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_RESOURCE
-        state_set = ges_basis(d)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         builder = {"bell": bell_basis, "ghz3": ghz3_basis, "ghz4": ghz4_basis}[args.family]
         state_set = builder()

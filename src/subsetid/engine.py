@@ -25,7 +25,6 @@ from .certificates import ALL_CUTS, CertificateRequest, certify_genuine
 from .errors import ExecutionError, ResourceLimitError, ScriptError, SettingError
 from .protocols import (
     PROTOCOLS,
-    check_locality,
     derive_classifier,
     format_transcript,
     order_blindness_verdict,
@@ -48,7 +47,6 @@ from .subsets import (
     SubsetTask,
     check_settings,
     hypothesis_ensemble,
-    stacked_layout,
 )
 
 REPORT_VERSION = 1
@@ -126,8 +124,6 @@ class _Engine:
                 f"(available: {', '.join(sorted(PROTOCOLS))})"
             )
         protocol = PROTOCOLS[stmt.protocol]()
-        # refuse a protocol that does not fit before any hypothesis is built
-        check_locality(protocol, stacked_layout(task.state_set, task.k))
         hypotheses = hypothesis_ensemble(task)
         sim = run_exact(protocol, hypotheses)
         # tallied from this very simulation: identified iff no reached

@@ -131,8 +131,9 @@ def bell_basis() -> StateSet:
 def check_ges_size(d: int, max_dim: int) -> None:
     """Refuse ges_basis(d) before any member is built when its d^2 members
     of d^2 amplitudes, d**4 in all, exceed ``max_dim``. Every task on the set
-    with k >= 2 copies stacks at least that many amplitudes."""
-    if d ** 4 > max_dim:
+    with k >= 2 copies stacks at least that many amplitudes. A d below 2
+    builds nothing: :func:`ges_basis` refuses it."""
+    if d >= 2 and d ** 4 > max_dim:
         raise ResourceLimitError(
             f"ges_basis({d}) holds {d}**4 = {d ** 4} amplitudes, above the guard of {max_dim}"
         )
@@ -140,6 +141,8 @@ def check_ges_size(d: int, max_dim: int) -> None:
 
 def ges_basis(d: int) -> StateSet:
     """All d^2 maximally entangled basis states, labeled E1..E{d^2} in (a, b) order."""
+    if d < 2:
+        raise ValueError(f"ges_basis({d}) needs a local dimension of at least 2")
     states = tuple(ges_state(a, b, d) for a in range(d) for b in range(d))
     return StateSet(
         states,

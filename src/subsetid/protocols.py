@@ -261,19 +261,17 @@ class _Factored:
 _CHUNK_AMPLITUDES = 2 ** 14
 
 
-def _chunks(hypotheses: Sequence[MixedHypothesis], dim: int):
-    """Consecutive hypotheses on one state set whose orderings, of ``dim``
-    amplitudes each, hold at most _CHUNK_AMPLITUDES together; a chunk always
-    holds at least one hypothesis."""
+def _chunks(hypotheses: Sequence[MixedHypothesis], size: int):
+    """Consecutive hypotheses on one state set whose rows, ``size``
+    amplitudes per hypothesis, hold at most _CHUNK_AMPLITUDES together; a
+    chunk always holds at least one hypothesis."""
+    most = max(1, _CHUNK_AMPLITUDES // size)
     chunk: list[MixedHypothesis] = []
-    held = 0
     for h in hypotheses:
-        size = math.factorial(len(h.subset_indices)) * dim
-        if chunk and (held + size > _CHUNK_AMPLITUDES or h.state_set is not chunk[0].state_set):
+        if len(chunk) == most or (chunk and h.state_set is not chunk[0].state_set):
             yield chunk
-            chunk, held = [], 0
+            chunk = []
         chunk.append(h)
-        held += size
     yield chunk
 
 
@@ -367,16 +365,17 @@ def run_exact(
     share of the average. Either way every transcript's probability moves
     by less than ``prune``, so at the default the two agree within 1e-12.
 
-    Hypotheses are streamed in chunks. A chunk gathers consecutive
-    hypotheses on one state set while their orderings hold at most 2**14
-    stacked amplitudes together (256 KiB), and always holds at least one
-    hypothesis; its rows are built at once by :func:`stacked_rows` and
-    dropped before the next chunk, so memory holds one chunk's stacked
-    vectors, never the ensemble's. That multiplies out each subset's
-    members once and gathers all k! orderings from the product, each a
-    coordinate permutation of it (exact up to the association of the
-    product); :attr:`MixedHypothesis.components` calls the same function, so
-    a hypothesis's rows carry the same bits in a chunk as alone. Rows are
+    Hypotheses are streamed in chunks. All of them share one k, so each
+    holds k! rows. A chunk gathers consecutive hypotheses on one state set
+    while their rows hold at most 2**14 stacked amplitudes together
+    (256 KiB), and always holds at least one hypothesis; :func:`stacked_rows`
+    builds the rows of the chunk's subsets at once, and they are dropped
+    before the next chunk, so memory holds one chunk's stacked vectors,
+    never the ensemble's. That multiplies out each subset's members once
+    and gathers all k! orderings from the product, each a coordinate
+    permutation of it (exact up to the association of the product);
+    :attr:`MixedHypothesis.components` calls the same function, so a
+    hypothesis's rows carry the same bits in a chunk as alone. Rows are
     party-major by construction, so each is reshaped in place to one axis
     per party, in layout order.
 
@@ -444,21 +443,19 @@ def run_exact(
     distributions = []
     by_component = []
     pruned_mass = []
-    for chunk in _chunks(hypotheses, layout.dim):
-        amps = stacked_rows(chunk[0].state_set, [o for h in chunk for o in h.orderings])
+    orders = math.factorial(shape[1])
+    for chunk in _chunks(hypotheses, orders * layout.dim):
+        amps = stacked_rows(chunk[0].state_set, [h.subset_indices for h in chunk])
         dists, pruned = _walk(protocol.steps, factored, axes, amps.reshape((-1,) + sizes), prune)
-        start = 0
-        for h in chunk:
-            stop = start + math.factorial(len(h.subset_indices))
-            comp_dists = tuple(dists[start:stop])
+        for start in range(0, len(dists), orders):
+            comp_dists = tuple(dists[start:start + orders])
             merged: dict = {}
             for d in comp_dists:
                 for t, p in d.items():
-                    merged[t] = merged.get(t, 0.0) + p / len(comp_dists)
+                    merged[t] = merged.get(t, 0.0) + p / orders
             distributions.append(merged)
             by_component.append(comp_dists)
-            pruned_mass.append(sum(p / len(comp_dists) for p in pruned[start:stop].tolist()))
-            start = stop
+            pruned_mass.append(sum(p / orders for p in pruned[start:start + orders].tolist()))
     return SimulationReport(
         hypotheses, tuple(distributions), tuple(by_component), tuple(pruned_mass)
     )

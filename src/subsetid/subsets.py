@@ -14,14 +14,14 @@ the rho_i.
 A :class:`MixedHypothesis` is light: it names its subset and its state set,
 and builds the k! stacked amplitude vectors as one (k!, dim) array each time
 ``components`` is read. :func:`stacked_rows` is the one place those rows are
-made, for any list of orderings, so a simulation can build the rows of
-several consecutive hypotheses at once. The orderings of one subset differ
-only in which copy holds which member, so in the party-major layout each
-ordering's row is a fixed coordinate permutation of the subset's product:
-each subset's members are multiplied out once, and every ordering's row is
-gathered from that product through a permutation cached per (dims, k).
-Nothing else is cached, so a simulation that builds a bounded chunk of
-hypotheses at a time holds that chunk's rows, never the ensemble's.
+made, for a list of subsets, so a simulation can build the rows of several
+consecutive hypotheses at once. The orderings of one subset differ only in
+which copy holds which member, so in the party-major layout each ordering's
+row is a fixed coordinate permutation of the subset's product: each
+subset's members are multiplied out once, and all its k! rows are gathered
+from that product through a table cached per (dims, k). Nothing else is
+cached, so a simulation that builds a bounded chunk of hypotheses at a time
+holds that chunk's rows, never the ensemble's.
 :func:`stacked_state` builds a single ordering the long way (copy
 relabelling, Kronecker products and a factor permutation); the engine
 never calls it, and the tests use it as the independent reference for those
@@ -59,6 +59,17 @@ def check_settings(tol: float, max_dim: int) -> None:
         raise SettingError(f"tolerance must be a finite number above 0, got {tol!r}")
     if isinstance(max_dim, bool) or not (isinstance(max_dim, numbers.Integral) and max_dim >= 1):
         raise SettingError(f"max_dim must be an integer of at least 1, got {max_dim!r}")
+
+
+def check_subset_size(k: int, n: int, least: int = 1) -> None:
+    """Refuse a subset size k outside ``least <= k < n``, before any
+    arithmetic on k. k must be a Python int: a bool is refused, though
+    Python counts True as the number 1, and so is a numpy integer, whose
+    powers wrap around and could slip ``dim ** k`` under a guard."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"subset size k={k!r} must be an integer")
+    if not least <= k < n:
+        raise ValueError(f"subset size k={k} must satisfy {least - 1} < k < n={n}")
 
 
 def check_stacked_dim(state_set: StateSet, k: int, max_dim: int) -> None:
@@ -158,8 +169,7 @@ class StateSet:
 
 def enumerate_subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-element subsets of range(n), sorted, in lexicographic order."""
-    if not 1 <= k < n:
-        raise ValueError(f"subset size k={k} must satisfy 1 <= k < n={n}")
+    check_subset_size(k, n)
     return tuple(itertools.combinations(range(n), k))
 
 
@@ -239,16 +249,15 @@ class MixedHypothesis:
         stacked state of the m-th ordering, built by :func:`stacked_rows` on
         every access and not kept: the subset's product once, then one
         gather lays out all k! orderings."""
-        return stacked_rows(self.state_set, self.orderings)
+        return stacked_rows(self.state_set, [self.subset_indices])
 
 
 @lru_cache(maxsize=8)
-def _copy_permutations(dims: tuple[int, ...], k: int) -> tuple[dict, np.ndarray]:
-    """Every ordering of k copies, as a row number and as a gather.
+def _copy_permutations(dims: tuple[int, ...], k: int) -> np.ndarray:
+    """Every ordering of k copies, as one gather.
 
-    The k! permutations sigma of range(k) are taken in lexicographic order;
-    the returned dict maps each sigma to its number j. Row j of the
-    read-only (k!, dim) table ``perms`` serves the ordering whose copy t
+    Row j of the read-only (k!, dim) table serves the j-th permutation
+    sigma of range(k) in lexicographic order, the ordering whose copy t
     holds member sigma(t) of a sorted subset: entry x is the coordinate of
     the subset's copy-major product that holds that ordering's party-major
     coordinate x, since factor (party p, copy t) of the ordering is factor
@@ -258,27 +267,25 @@ def _copy_permutations(dims: tuple[int, ...], k: int) -> tuple[dict, np.ndarray]
     n = len(dims)
     dim = math.prod(dims) ** k
     copy_major = np.arange(dim, dtype=np.min_scalar_type(dim - 1)).reshape(tuple(dims) * k)
-    sigmas = list(itertools.permutations(range(k)))
     perms = np.stack([
         copy_major.transpose([s * n + p for p in range(n) for s in sigma]).reshape(-1)
-        for sigma in sigmas
+        for sigma in itertools.permutations(range(k))
     ])
     perms.flags.writeable = False
-    return {sigma: j for j, sigma in enumerate(sigmas)}, perms
+    return perms
 
 
-def stacked_rows(state_set: StateSet, orders: Sequence[Sequence[int]]) -> np.ndarray:
-    """Read-only (count, dim) complex128 array: row m is the party-major
-    stacked state of ``orders[m]``, which lists one member index per copy.
+def stacked_rows(state_set: StateSet, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """Read-only (len(subsets) * k!, dim) complex128 array: every ordering
+    of every subset, party-major, each subset's k! rows in the order
+    :func:`orderings` lists them.
 
-    The orderings may come from several subsets of one size. Each distinct
-    subset gets one product: its sorted members' amplitude rows multiplied
-    out copy-major, ((psi_s0 x psi_s1) x psi_s2) ..., with no Kronecker
-    product. One ``np.take`` through the cached gathers of
-    :func:`_copy_permutations` then lays out every ordering of every
-    product party-major. Callers list each subset's orderings whole and in
-    lexicographic order, as :func:`orderings` does, and then that gather is
-    already the answer; other lists cost one more row gather.
+    The subsets share one size k and list distinct members in increasing
+    order, as :class:`MixedHypothesis` holds them. Each subset's members
+    are multiplied out once, copy-major, ((psi_s0 x psi_s1) x psi_s2) ...,
+    with no Kronecker product, and one ``np.take`` through the cached
+    gather of :func:`_copy_permutations` lays out every ordering of every
+    product.
 
     Soundness: if o_t = s_sigma(t), the ordering's amplitude at party-major
     coordinates x is prod_t psi_{s_sigma(t)}(x_{., t}), the product's
@@ -288,24 +295,13 @@ def stacked_rows(state_set: StateSet, orders: Sequence[Sequence[int]]) -> np.nda
     multiplying its members out in copy order, and every other ordering the
     same factors multiplied in sorted order.
     """
-    k = len(orders[0])
-    position, perms = _copy_permutations(state_set.layout.dims, k)
-    subsets: dict[tuple[int, ...], int] = {}
-    index = []
-    for o in orders:
-        members = tuple(sorted(o))
-        # copy t of the ordering holds member sigma[t] of its sorted subset
-        sigma = tuple(map(members.index, o))
-        if sigma not in position:
-            raise ValueError(f"ordering {tuple(o)} does not list {k} distinct members")
-        index.append(subsets.setdefault(members, len(subsets)) * len(perms) + position[sigma])
-    factors = state_set.amplitudes[np.array(list(subsets))]
+    factors = state_set.amplitudes[np.array(subsets)]
+    count, k = factors.shape[:2]
     products = factors[:, 0]
     for t in range(1, k):
-        products = (products[:, :, None] * factors[:, t, None, :]).reshape(len(factors), -1)
+        products = (products[:, :, None] * factors[:, t, None, :]).reshape(count, -1)
+    perms = _copy_permutations(state_set.layout.dims, k)
     out = np.take(products, perms, axis=1).reshape(-1, products.shape[1])
-    if index != list(range(len(out))):
-        out = out[index]
     out.flags.writeable = False
     return out
 
@@ -323,11 +319,7 @@ class SubsetTask:
     max_dim: int = DEFAULT_MAX_DIM
 
     def __post_init__(self):
-        n = len(self.state_set)
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise ValueError(f"subset size k={self.k!r} must be an integer")
-        if not 1 <= self.k < n:
-            raise ValueError(f"subset size k={self.k} must satisfy 1 <= k < n={n}")
+        check_subset_size(self.k, len(self.state_set))
         check_stacked_dim(self.state_set, self.k, self.max_dim)
 
     @property

@@ -165,6 +165,18 @@ def test_request_validation():
         certify_cut(CertificateRequest(bell_basis(), 2))
 
 
+@pytest.mark.parametrize(
+    "family, k",
+    [(lambda: ges_basis(5), np.int64(20)), (bell_basis, 2.0), (bell_basis, True)],
+    ids=["ges5-int64", "bell-float", "bell-bool"],
+)
+def test_request_refuses_a_subset_size_that_is_not_an_int(family, k):
+    # 25 ** np.int64(20) wraps around below the stacked-dim guard, and
+    # math.comb refuses a float, so k is checked before anything uses it
+    with pytest.raises(ValueError, match="must be an integer"):
+        CertificateRequest(family(), k)
+
+
 def test_dimension_guard():
     with pytest.raises(ResourceLimitError, match="9\\*\\*6"):
         certify_cut(CertificateRequest(ges_basis(3), 6, AB))

@@ -58,6 +58,12 @@ class TestFamilies:
         assert proc.returncode == 2
         assert "dimension" in proc.stderr
 
+    @pytest.mark.parametrize("d", [-100, 0, 1])
+    def test_ges_refuses_a_dimension_below_two(self, capsys, d):
+        assert cli.run(["families", "ges", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: ges_basis({d}) needs a local dimension of at least 2" in err
+
     def test_ges_dimension_two(self):
         proc = run_cli("families", "ges", "2", "1")
         assert proc.returncode == 0
@@ -141,6 +147,14 @@ class TestSimulate:
         error = json.loads(proc.stdout)["error"]
         assert error["type"] == "ExecutionError"
         assert "waltz" in error["message"]
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_ges_below_dimension_two_fails_on_its_line(self, tmp_path, capsys, d):
+        path = tmp_path / "x.sid"
+        path.write_text(f"set e = ges_basis({d})\n", encoding="utf-8")
+        assert cli.run(["certify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"line 1: ges_basis({d}) needs a local dimension of at least 2" in err
 
 
 class TestCertify:

@@ -311,14 +311,23 @@ class TestExecutionErrors:
         assert exc.value.line == first
 
     def test_protocol_checked_before_hypotheses_are_built(self, monkeypatch):
-        def refuse(task):
-            raise AssertionError("hypothesis_ensemble called before the locality check")
+        # the hypotheses themselves are light; their stacked rows must not
+        # be built for a protocol that does not fit
+        def refuse(state_set, subsets):
+            raise AssertionError("stacked rows built before the locality check")
 
-        monkeypatch.setattr("subsetid.engine.hypothesis_ensemble", refuse)
+        monkeypatch.setattr("subsetid.protocols.stacked_rows", refuse)
         with pytest.raises(ExecutionError) as exc:
             execute("set e = ges_basis(8)\ntask t = subset(e, k=2)\nsimulate t protocol bell32\n")
         assert exc.value.line == 3
         assert "measurement acts on dimension 4 but party A holds dimension 64" in str(exc.value)
+
+    def test_a_protocol_for_another_k_fails_on_its_line(self):
+        with pytest.raises(ExecutionError) as exc:
+            execute("set b = bell_basis(2)\ntask t = subset(b, k=2)\nsimulate t protocol bell43\n")
+        assert str(exc.value).startswith(
+            "line 3: step 1: measurement acts on dimension 8 but party A holds dimension 4"
+        )
 
     @pytest.mark.parametrize(
         "d, max_dim, refused",

@@ -134,8 +134,9 @@ def test_ges_basis_2_matches_bell_up_to_phase():
 
 
 def test_ges_basis_rejects_small_dimension():
-    with pytest.raises(ValueError):
-        ges_basis(1)
+    for d in (-1, 0, 1):
+        with pytest.raises(ValueError, match=rf"ges_basis\({d}\) needs a local dimension"):
+            ges_basis(d)
 
 
 def test_named_states():

@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import pickle
 import subprocess
@@ -246,7 +247,7 @@ class TestRunExact:
         # ensemble in one chunk peaks near 5 MiB. Bound: 2.5 MiB.
         task = SubsetTask(ges_basis(4), 2)
         hypotheses = hypothesis_ensemble(task)
-        assert len(next(_chunks(hypotheses, task.stacked_dim))) == 32
+        assert len(next(_chunks(hypotheses, 2 * task.stacked_dim))) == 32
         tracemalloc.start()
         try:
             report = run_exact(_every_party(ges_basis(4), "AB"), hypotheses)
@@ -278,7 +279,7 @@ def test_an_ensemble_runs_as_its_hypotheses_alone(name):
     they do alone, transcript order and bits included."""
     task, protocol = _ENSEMBLES[name]()
     hypotheses = hypothesis_ensemble(task)
-    assert len(next(_chunks(hypotheses, task.stacked_dim))) > 1
+    assert len(next(_chunks(hypotheses, math.factorial(task.k) * task.stacked_dim))) > 1
     whole = run_exact(protocol, hypotheses)
     for i, h in enumerate(hypotheses):
         alone = run_exact(protocol, [h])
@@ -406,9 +407,9 @@ def _digit_parity(party, base, digits):
     return Measurement(party, (np.diag(1 - odd), np.diag(odd)))
 
 
-def _assert_matches_the_per_ordering_walk(protocol, hypotheses):
-    report = run_exact(protocol, hypotheses)
-    distributions, by_component, pruned_mass = per_ordering_run(protocol, hypotheses, PRUNE_TOL)
+def _assert_matches_the_per_ordering_walk(protocol, hypotheses, prune=PRUNE_TOL):
+    report = run_exact(protocol, hypotheses, prune=prune)
+    distributions, by_component, pruned_mass = per_ordering_run(protocol, hypotheses, prune)
     got = list(report.distributions) + [d for comps in report.by_component for d in comps]
     want = distributions + [d for comps in by_component for d in comps]
     assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
@@ -469,6 +470,31 @@ class TestCoordinateSelection:
             for t in dist:
                 assert dist[t] == pytest.approx(dense[t], abs=1e-12)
 
+    @pytest.mark.parametrize("prune", [PRUNE_TOL, 0.0])
+    @pytest.mark.parametrize("selection", [True, False], ids=["gather", "matmul"])
+    def test_a_zero_projector_first_matches_the_per_ordering_walk(self, selection, prune):
+        # dim + 1 outcomes on A's first measurement leave one projector zero,
+        # so A's axis shrinks to rank 0 on that branch before B measures
+        rng = np.random.default_rng(2704)
+        protocol = Protocol("zero-first", (
+            ProtocolStep(_random_measurement("A", 4, 5, rng, selection)),
+            ProtocolStep(_random_measurement("B", 4, 3, rng)),
+        ))
+        _assert_matches_the_per_ordering_walk(
+            protocol, hypothesis_ensemble(SubsetTask(bell_basis(), 2)), prune
+        )
+
+    def test_one_copy_matches_the_per_ordering_walk(self):
+        # k=1: one ordering per hypothesis, a selection then a matmul
+        rng = np.random.default_rng(2705)
+        protocol = Protocol("one-copy", (
+            ProtocolStep(_random_measurement("A", 2, 2, rng, selection=True)),
+            ProtocolStep(_random_measurement("B", 2, 2, rng)),
+        ))
+        _assert_matches_the_per_ordering_walk(
+            protocol, hypothesis_ensemble(SubsetTask(bell_basis(), 1))
+        )
+
     def test_bell_adaptive_matches_the_per_ordering_walk(self):
         bell = bell_basis().states
         computational = basis_measurement("B", np.eye(4))
@@ -505,6 +531,7 @@ class TestCoordinateSelection:
             ProtocolStep(basis_measurement("A", bell_basis().states)),
             ProtocolStep(basis_measurement("B", bell_basis().states)),
         ))
+        _assert_matches_the_per_ordering_walk(protocol, hypotheses)
         report = run_exact(protocol, hypotheses)
         for h, dist in zip(report.hypotheses, report.distributions):
             dense = dense_distribution(protocol, h)

@@ -220,42 +220,22 @@ def test_three_parties_of_unequal_dimension(k):
 def test_one_copy_is_the_member_itself():
     # k=1 has the identity as its only permutation
     state_set = _random_set((2, 3, 2), 4, seed=7)
-    position, perms = _copy_permutations((2, 3, 2), 1)
-    assert position == {(0,): 0} and perms.tolist() == [list(range(12))]
+    assert _copy_permutations((2, 3, 2), 1).tolist() == [list(range(12))]
     rows = stacked_rows(state_set, [(2,), (0,), (3,)])
     assert np.array_equal(rows, state_set.amplitudes[[2, 0, 3]])
 
 
 def test_copy_permutations_are_cached_read_only_gathers():
-    position, perms = _copy_permutations((2, 2), 3)
-    assert _copy_permutations((2, 2), 3)[1] is perms
+    perms = _copy_permutations((2, 2), 3)
+    assert _copy_permutations((2, 2), 3) is perms
     assert not perms.flags.writeable
     assert perms.dtype == np.uint8 and perms.shape == (6, 64)
-    assert list(position) == list(itertools.permutations(range(3)))
-    assert list(position.values()) == list(range(6))
-    # each row is a permutation of the coordinates
+    # each row is a permutation of the coordinates; the sorted ordering's
+    # only turns copy-major into party-major
+    party_major = np.arange(64).reshape((2, 2) * 3).transpose(0, 2, 4, 1, 3, 5)
+    assert perms[0].tolist() == party_major.reshape(-1).tolist()
     assert all(sorted(row) == list(range(64)) for row in perms.tolist())
-    assert _copy_permutations((4, 4), 3)[1].dtype == np.uint16
-
-
-def test_orderings_in_any_order_and_from_any_subsets():
-    # a subset's orderings partly listed, out of order, split or repeated,
-    # mixed with another subset's: every row is still its ordering's, with
-    # the bits the whole subset's rows give it
-    state_set = bell_basis()
-    orders = [(2, 0, 1), (0, 1, 2), (3, 1, 0), (1, 2, 0), (0, 1, 2), (1, 0, 3)]
-    rows = stacked_rows(state_set, orders)
-    assert rows.shape == (6, 64) and not rows.flags.writeable
-    for row, o in zip(rows, orders):
-        assert_allclose(row, stacked_state(state_set, o).amplitudes, rtol=0, atol=1e-15)
-        whole = MixedHypothesis(tuple(sorted(o)), state_set)
-        assert np.array_equal(row, whole.components[whole.orderings.index(o)])
-
-
-@pytest.mark.parametrize("orders", [[(1, 1)], [(0, 1), (2, 2)], [(0, 1), (2, 3, 1)]])
-def test_an_ordering_lists_k_distinct_members(orders):
-    with pytest.raises(ValueError, match="distinct members"):
-        stacked_rows(bell_basis(), orders)
+    assert _copy_permutations((4, 4), 3).dtype == np.uint16
 
 
 @pytest.mark.parametrize("family,k", [("ges3", 2), ("ghz3", 3), ("bell", 1)])
@@ -264,7 +244,7 @@ def test_a_chunk_has_the_bits_of_its_hypotheses(family, k):
     # hypothesis's block must be its components, bit for bit
     state_set = {"ges3": lambda: ges_basis(3), "ghz3": ghz3_basis, "bell": bell_basis}[family]()
     hypotheses = hypothesis_ensemble(SubsetTask(state_set, k))
-    rows = stacked_rows(state_set, [o for h in hypotheses for o in h.orderings])
+    rows = stacked_rows(state_set, [h.subset_indices for h in hypotheses])
     blocks = np.split(rows, len(hypotheses))
     for h, block in zip(hypotheses, blocks):
         assert np.array_equal(block, h.components)

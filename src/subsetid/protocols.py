@@ -517,11 +517,19 @@ def _total_variation(p: dict, q: dict) -> float:
 
 
 def order_blindness_verdict(report: SimulationReport, tol: float = ATOL) -> Verdict:
-    """Do all orderings of each subset induce the same transcript distribution?"""
+    """Do all orderings of each subset induce the same transcript distribution?
+
+    A pair whose dicts compare equal is skipped: its total variation is
+    0.0, or NaN where an entry is NaN or infinite, and neither exceeds
+    ``worst`` (never below 0.0), so the skip changes neither the verdict
+    nor the witness.
+    """
     worst = 0.0
     witness = None
     for h, comp_dists in zip(report.hypotheses, report.by_component):
         for (ia, da), (ib, db) in itertools.combinations(enumerate(comp_dists), 2):
+            if da == db:
+                continue
             tv = _total_variation(da, db)
             if tv > worst:
                 worst = tv
@@ -547,22 +555,23 @@ def derive_classifier(report: SimulationReport, *, on_ambiguity: str = "error") 
     """
     if on_ambiguity not in ("error", "first"):
         raise ValueError(f"unknown ambiguity policy {on_ambiguity!r}")
-    claims: dict[Transcript, list[tuple[int, ...]]] = {}
+    # an insertion-ordered dict per transcript keeps the claimants in
+    # enumeration order with a constant-time membership test
+    claims: dict[Transcript, dict[tuple[int, ...], None]] = {}
     for h, dist in zip(report.hypotheses, report.distributions):
         for t in dist:
-            claimants = claims.setdefault(t, [])
-            if h.subset_indices not in claimants:
-                claimants.append(h.subset_indices)
+            claims.setdefault(t, {})[h.subset_indices] = None
     ambiguous = sorted(t for t, c in claims.items() if len(c) > 1)
     if ambiguous and on_ambiguity == "error":
         t = ambiguous[0]
+        claimants = list(claims[t])
         raise AmbiguityError(
             f"transcript {format_transcript(t)} occurs under "
-            f"{len(claims[t])} different subsets: {claims[t]}",
+            f"{len(claimants)} different subsets: {claimants}",
             transcript=t,
-            claimants=tuple(claims[t]),
+            claimants=tuple(claimants),
         )
-    return Classifier({t: c[0] for t, c in claims.items()})
+    return Classifier({t: next(iter(c)) for t, c in claims.items()})
 
 
 # ---------------------------------------------------------------------------

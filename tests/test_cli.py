@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import subprocess
@@ -225,6 +226,194 @@ class TestCertify:
         assert error["type"] == type(exc).__name__
         assert error["message"]
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestUnreadableScripts:
+    """A script that cannot be read is a usage problem: exit 2, no traceback,
+    and an error object in structured mode."""
+
+    @pytest.fixture
+    def undecodable(self, tmp_path):
+        path = tmp_path / "bad.sid"
+        path.write_bytes(b"set s = bell_basis(2)\n\xff\xfe\n")
+        return str(path)
+
+    def test_parse_reports_undecodable_bytes(self, undecodable, capsys):
+        assert cli.run(["parse", undecodable]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+    def test_certify_reports_undecodable_bytes(self, undecodable, capsys):
+        assert cli.run(["certify", undecodable, "--format", "structured"]) == 2
+        out, err = capsys.readouterr()
+        error = json.loads(out)["error"]
+        assert error["type"] == "UnicodeDecodeError"
+        assert "can't decode byte 0xff" in error["message"]
+        assert err.startswith("error: ")
+
+    def test_certify_reports_a_directory(self, tmp_path, capsys):
+        assert cli.run(["certify", str(tmp_path), "--format", "structured"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"]["type"] == "IsADirectoryError"
+        assert err.startswith("error: ")
+
+
+BELL_PAIR_SCRIPT = "set b = bell_basis(2)\ntask t = subset(b, k=2)\ncertify t cut A:B\n"
+AMBIGUOUS = "ambiguous option: --=1 could match --help, --tolerance, --max-dim, --output, --format"
+
+
+class TestCommandLine:
+    """What a caller sees of the command-line parser: argv -> (exit code,
+    fragment of stdout or stderr). The script, where one is read, is a
+    certify script on standard input."""
+
+    @pytest.mark.parametrize(
+        "argv,code,stream,fragment",
+        [
+            pytest.param(["-h"], 0, "out", "usage: subsetid", id="help"),
+            pytest.param(["--help"], 0, "out", "usage: subsetid", id="long-help"),
+            pytest.param(["certify", "-h"], 0, "out", "verify-paper", id="help-after-command"),
+            pytest.param(["certify", "-", "--he"], 0, "out", "--format", id="help-prefix"),
+            pytest.param(
+                [], 2, "err", "subsetid: error: the following arguments are required: command",
+                id="missing-command",
+            ),
+            pytest.param(
+                ["bogus"], 2, "err", "subsetid: error: argument command: invalid choice: 'bogus'",
+                id="unknown-command",
+            ),
+            pytest.param(
+                ["certify"], 2, "err",
+                "subsetid certify: error: the following arguments are required: script",
+                id="missing-positional",
+            ),
+            pytest.param(
+                ["parse", "-", "extra"], 2, "err",
+                "subsetid parse: error: unrecognized arguments: extra", id="extra-positional",
+            ),
+            pytest.param(
+                ["verify-paper", "x"], 2, "err", "unrecognized arguments: x", id="no-positional",
+            ),
+            pytest.param(
+                ["certify", "-", "--bogus"], 2, "err",
+                "subsetid certify: error: unrecognized arguments: --bogus", id="unknown-option",
+            ),
+            pytest.param(
+                ["certify", "-", "-x"], 2, "err", "unrecognized arguments: -x",
+                id="unknown-short-option",
+            ),
+            pytest.param(["certify", "-", "--=1"], 2, "err", AMBIGUOUS, id="ambiguous-option"),
+            pytest.param(
+                ["certify", "-", "--format"], 2, "err",
+                "subsetid certify: error: argument --format: expected one argument",
+                id="missing-value",
+            ),
+            pytest.param(
+                ["certify", "-", "--max-dim", "1.5"], 2, "err",
+                "argument --max-dim: invalid int value: '1.5'", id="bad-int",
+            ),
+            pytest.param(
+                ["certify", "-", "--tolerance", "abc"], 2, "err",
+                "argument --tolerance: invalid float value: 'abc'", id="bad-float",
+            ),
+            pytest.param(
+                ["certify", "-", "--format", "bogus"], 2, "err",
+                "argument --format: invalid choice: 'bogus' (choose from 'text', 'structured')",
+                id="bad-format",
+            ),
+            pytest.param(
+                ["families", "quux"], 2, "err",
+                "subsetid families: error: argument family: invalid choice: 'quux' "
+                "(choose from 'bell', 'ghz3', 'ghz4', 'ges')",
+                id="bad-family",
+            ),
+            pytest.param(
+                ["families", "bell", "x"], 2, "err",
+                "argument params: invalid int value: 'x'", id="bad-family-param",
+            ),
+            pytest.param(
+                ["certify", "-", "--format", "structured"], 0, "out", '"version": 1',
+                id="option-space-value",
+            ),
+            pytest.param(
+                ["certify", "-", "--format=structured"], 0, "out", '"version": 1',
+                id="option-equals-value",
+            ),
+            pytest.param(
+                ["certify", "--format", "structured", "-"], 0, "out", '"version": 1',
+                id="option-before-positional",
+            ),
+            pytest.param(
+                ["certify", "-", "--form", "structured", "--tol", "1e-6"], 0, "out",
+                '"version": 1', id="unique-prefix",
+            ),
+            pytest.param(
+                ["certify", "-", "--format", "structured", "--max-dim", "-5"], 2, "out",
+                '"type": "SettingError"', id="dash-value",
+            ),
+            pytest.param(
+                ["certify", "-", "--format", "structured", "--max-dim=-5"], 2, "out",
+                '"type": "SettingError"', id="dash-value-equals",
+            ),
+            pytest.param(
+                ["families", "ges", "-100"], 2, "err",
+                "error: ges_basis(-100) needs a local dimension of at least 2",
+                id="negative-positional",
+            ),
+            pytest.param(
+                ["certify", "--", "-"], 0, "out", "Certified", id="double-dash",
+            ),
+            pytest.param(
+                ["certify", "-", "--", "--format"], 2, "err",
+                "subsetid certify: error: unrecognized arguments: --format",
+                id="double-dash-ends-options",
+            ),
+            pytest.param(
+                ["parse", "--", "-h"], 2, "err", "error: [Errno 2]", id="double-dash-help-word",
+            ),
+        ],
+    )
+    def test_argv(self, monkeypatch, capsys, argv, code, stream, fragment):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(BELL_PAIR_SCRIPT))
+        assert cli.run(argv) == code
+        out, err = capsys.readouterr()
+        assert fragment in {"out": out, "err": err}[stream]
+        if ": error: " in err:
+            # a usage error: the command's usage line, then the error
+            assert out == ""
+            usage, error, rest = err.split("\n", 2)
+            assert usage.startswith("usage: subsetid") and rest == ""
+            assert error.split(": error: ")[0] in ("subsetid", " ".join(["subsetid", *argv[:1]]))
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"], ["simulate", "-h"], ["families", "bell", "--help"]]
+    )
+    def test_help_lists_every_command_and_option_with_its_default(self, capsys, argv):
+        assert cli.run(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        for command in ("families", "parse", "simulate", "certify", "verify-paper"):
+            assert f"  subsetid {command} " in out
+        for option in (
+            "--tolerance REAL", "(default 1e-09)", "--max-dim INT", "(default 65536)",
+            "--output PATH", "--format {text,structured}", "(default text)", "-h, --help",
+        ):
+            assert option in out
+
+    def test_entry_point_exit_codes(self):
+        assert run_cli("--help").returncode == 0
+        proc = run_cli("certify")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: subsetid certify")
+
+    def test_importing_the_cli_leaves_argparse_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, subsetid.cli; print('argparse' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout == "False\n"
 
 
 class TestVerify:

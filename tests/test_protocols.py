@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import itertools
 import math
 import os
 import pickle
@@ -39,7 +41,7 @@ from subsetid import (
 )
 from subsetid.acceptance import _EXPECTED_SUPPORT
 from subsetid.errors import AmbiguityError, CoverageError, LocalityError, SettingError
-from subsetid.protocols import PROTOCOLS, PRUNE_TOL, _chunks, _Factored
+from subsetid.protocols import PROTOCOLS, PRUNE_TOL, _chunks, _Factored, _total_variation
 from subsetid.subsets import stacked_state
 
 
@@ -591,6 +593,56 @@ class TestIdentification:
         assert verdict.witness["classified"] == (1, 2)
 
 
+def _every_pair_verdict(report):
+    """order_blindness_verdict without its skip of equal pairs."""
+    worst, witness = 0.0, None
+    for h, comp_dists in zip(report.hypotheses, report.by_component):
+        for (ia, da), (ib, db) in itertools.combinations(enumerate(comp_dists), 2):
+            tv = _total_variation(da, db)
+            if tv > worst:
+                worst = tv
+                witness = (h.subset_indices, h.orderings[ia], h.orderings[ib], tv)
+    return worst <= ATOL, witness
+
+
+class TestEqualPairsSkipped:
+    """order_blindness_verdict skips pairs whose dicts compare equal; the
+    verdict and witness must be those of the walk over every pair."""
+
+    @staticmethod
+    def assert_matches_every_pair(report):
+        verdict = order_blindness_verdict(report)
+        ok, witness = _every_pair_verdict(report)
+        assert verdict.ok == ok
+        if witness is None:
+            assert verdict.witness is None
+        else:
+            w = verdict.witness
+            assert (w["hypothesis"], w["ordering_a"], w["ordering_b"]) == witness[:3]
+            assert w["total_variation"] == witness[3]
+
+    def test_bell43_witness(self):
+        protocol, _ = builtin_bell43()
+        report = run_exact(protocol, hypothesis_ensemble(SubsetTask(bell_basis(), 3)))
+        self.assert_matches_every_pair(report)
+        assert order_blindness_verdict(report).witness["total_variation"] == 0.9999999999999996
+
+    def test_equal_pairs_with_nan_and_inf(self):
+        report, _ = bell32_report()
+        nan, t, u = math.nan, (("A", 1),), (("A", 2),)
+        by_component = (
+            ({t: nan, u: 0.5}, {t: nan, u: 0.5}),  # one NaN object: equal dicts, TV NaN
+            ({t: math.inf}, {t: math.inf}),  # equal dicts, TV NaN
+            ({t: 1.0}, {t: 0.25, u: 0.75}),  # the only pair that differs
+        )
+        self.assert_matches_every_pair(dataclasses.replace(report, by_component=by_component))
+        verdict = order_blindness_verdict(dataclasses.replace(report, by_component=by_component))
+        assert not verdict.ok and verdict.witness["total_variation"] == 0.75
+        equal = by_component[:2] + ((by_component[2][0],) * 2,)
+        self.assert_matches_every_pair(dataclasses.replace(report, by_component=equal))
+        assert order_blindness_verdict(dataclasses.replace(report, by_component=equal)).ok
+
+
 class TestOrderLeak:
     """A computational-basis tally on both copies reveals which copy came
     first, so the order-blindness verdict must fail with a disjoint-support
@@ -671,6 +723,16 @@ class TestDeriveClassifier:
         except AmbiguityError as e:
             assert e.transcript is not None
             assert len(e.claimants) == 2
+
+    def test_ambiguity_message_lists_claimants_in_enumeration_order(self):
+        protocol, _ = builtin_bell43()
+        report = run_exact(protocol, hypothesis_ensemble(SubsetTask(bell_basis(), 3)))
+        with pytest.raises(AmbiguityError) as caught:
+            derive_classifier(report)
+        assert str(caught.value) == (
+            "transcript A:1 B:3 occurs under 2 different subsets: [(0, 1, 3), (1, 2, 3)]"
+        )
+        assert caught.value.claimants == ((0, 1, 3), (1, 2, 3))
 
     def test_first_claimant_mode(self):
         protocol, classifier = builtin_bell43()

@@ -18,8 +18,10 @@ resource guard exact and fast. The reductions used are equivalent to the
 stacked ones: a reduction of a stacked product state is the tensor product
 of single-copy reductions, so equality of all stacked reductions is exactly
 equality of all single-copy reductions, and a product of states is maximally
-entangled across a cut exactly when every factor is. Hypothesis overlaps
-come from the permanent identity
+entangled across a cut exactly when every factor is. Each cut reads the
+set once, as one stack of cut matrices, and every member pair must share
+its identity-side reduction within tol. Hypothesis overlaps come from the
+permanent identity
 
     tr(rho_i rho_j) = perm(F) / k!   with   F[s][t] = |<psi_{i_s}|psi_{j_t}>|^2
 
@@ -117,9 +119,8 @@ class CertificateRequest:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    set_name: str
-    n_states: int
-    k: int
+    """One cut's certificate; its fields are the fields of the report record."""
+
     cut: str
     kappa: int
     bound: int
@@ -204,15 +205,6 @@ def orthogonal_hypotheses(state_set: StateSet, k: int, tol: float) -> bool:
     )
 
 
-def _reductions_agree(state_set: StateSet, side: Cut, tol: float) -> bool:
-    """Do all members have the same reduced operator on the cut's left side?"""
-    mats = [m @ m.conj().T for m in (cut_matrix(s, side) for s in state_set.states)]
-    for a, b in itertools.combinations(mats, 2):
-        if np.max(np.abs(a - b)) > tol:
-            return False
-    return True
-
-
 def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) -> Certificate:
     """Evaluate the counting certificate for a single bipartition.
 
@@ -242,18 +234,19 @@ def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) 
     bound = max(left_stacked, right_stacked)
     identity_side = Cut(cut.right, cut.left) if unitary_side == "left" else cut
 
-    premises: dict[str, bool] = {}
-    premises["pairwise-orthogonal-hypotheses"] = orthogonal
+    premises = {"pairwise-orthogonal-hypotheses": orthogonal}
     # the SVDs are needed only when the complete-basis principle can apply
-    if left_stacked == right_stacked and all(
-        is_maximally_entangled(s, cut, tol) for s in state_set.states
-    ):
+    if left_stacked == right_stacked and is_maximally_entangled(state_set, cut, tol):
         axiom = AXIOM_MES
         premises["all-states-maximally-entangled"] = True
     else:
         axiom = AXIOM_ONE_SIDED
-        premises["equal-identity-side-reductions"] = _reductions_agree(
-            state_set, identity_side, tol
+        m = cut_matrix(state_set, identity_side)
+        reductions = m @ m.conj().swapaxes(-1, -2)
+        # every pair within tol, each member against all later ones
+        premises["equal-identity-side-reductions"] = all(
+            np.max(np.abs(reductions[i + 1:] - reductions[i])) <= tol
+            for i in range(len(reductions) - 1)
         )
 
     kappa = math.comb(len(state_set), k)
@@ -264,9 +257,6 @@ def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) 
     else:
         verdict = CONDITION_FAILS
     return Certificate(
-        set_name=state_set.name,
-        n_states=len(state_set),
-        k=k,
         cut=cut.label(layout),
         kappa=kappa,
         bound=bound,

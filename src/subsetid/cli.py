@@ -7,14 +7,14 @@ full reproduction suite with one line per criterion.
 
 Exit codes: 0 on success and for ``-h``/``--help``, which prints every
 command and option with its default; 1 when execution or verification
-fails; 2 for usage problems (including an unreadable script and a tolerance
-or dimension guard out of range) and script syntax errors; 3 when a
-resource guard trips or memory runs out. A command line that the table of
-commands and options refuses prints a ``usage:`` line and then
-``subsetid[ <command>]: error: ...`` on stderr. In structured mode
-failures, unexpected ones included, are reported as an error object on the
-output stream so callers never have to parse diagnostics out of free text
-or a traceback.
+fails; 2 for usage problems (including an unreadable script, a tolerance
+or dimension guard out of range and an ``--output`` that cannot be
+written) and script syntax errors; 3 when a resource guard trips or memory
+runs out. A command line that the table of commands and options refuses
+prints a ``usage:`` line and then ``subsetid[ <command>]: error: ...`` on
+stderr. In structured mode failures, unexpected ones included, are
+reported as an error object on the output stream (when it can be written)
+so callers never have to parse diagnostics out of free text or a traceback.
 """
 
 from __future__ import annotations
@@ -56,11 +56,17 @@ def _read_script(arg: str) -> str:
     return Path(arg).read_text(encoding="utf-8")
 
 
-def _emit(text: str, output: str | None):
+def _emit(text: str, output: str | None) -> int:
+    """Write to stdout or to ``output``; an unwritable file gives EXIT_USAGE, said on stderr."""
     if output is None:
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         Path(output).write_text(text, encoding="utf-8")
+    except OSError as e:
+        print(f"error: cannot write output {output!r}: {e.strerror or e}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _cmd_families(args) -> int:
@@ -116,10 +122,11 @@ def _cmd_run(args) -> int:
 
     def fail(exc: Exception, code: int) -> int:
         message = str(exc) or type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
         if structured:
             error = {"error": {"type": type(exc).__name__, "message": message}}
-            _emit(render_structured(error), args.output)
-        print(f"error: {message}", file=sys.stderr)
+            if _emit(render_structured(error), args.output) != EXIT_OK:
+                return EXIT_USAGE
         return code
 
     try:
@@ -136,8 +143,7 @@ def _cmd_run(args) -> int:
         return fail(e, EXIT_RESOURCE)
     except Exception as e:  # noqa: BLE001 - every failure gets an exit code, never a traceback
         return fail(e, EXIT_FAILURE)
-    _emit(rendered, args.output)
-    return EXIT_OK
+    return _emit(rendered, args.output)
 
 
 def _cmd_verify(_args) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import json
+from dataclasses import asdict
 
 from . import families
 from .certificates import ALL_CUTS, CertificateRequest, certify_genuine
@@ -181,18 +182,7 @@ class _Engine:
             "kind": "certify",
             "task": stmt.task_name,
             "cut": str(stmt.cut),
-            "certificates": [
-                {
-                    "cut": c.cut,
-                    "kappa": c.kappa,
-                    "bound": c.bound,
-                    "unitary_side": c.unitary_side,
-                    "axiom": c.axiom,
-                    "premises": dict(c.premises),
-                    "verdict": c.verdict,
-                }
-                for c in result.certificates
-            ],
+            "certificates": [asdict(c) for c in result.certificates],
         }
         if stmt.cut == ALL_CUTS:
             record["genuine"] = result.verdict

@@ -241,18 +241,19 @@ class CutFactors:
 
 
 def cut_factors(states: Sequence[StateVector], cut: Cut) -> CutFactors:
-    """Factor a stack of states of one layout across ``cut`` once, for any
-    number of connecting_unitary calls.
+    """Factor a stack of states of one single-copy layout across ``cut``
+    once, for any number of connecting_unitary calls.
 
     Member i of the record comes from states[i]; one state is passed as a
-    stack of one. The whole stack takes one SVD, one pseudo-inverse and one
-    QR per distinct Schmidt rank. Schmidt coefficients at or below ``ATOL``
-    count as zero, in the pseudo-inverse as in the rank.
+    stack of one. The whole stack takes one :func:`cut_matrix` call on the
+    states as a StateSet, one SVD, one pseudo-inverse and one QR per
+    distinct Schmidt rank. Schmidt coefficients at or below ``ATOL`` count
+    as zero, in the pseudo-inverse as in the rank.
     """
     states = tuple(states)
     if not states or any(s.layout != states[0].layout for s in states):
         raise ValueError("cut_factors needs one or more states of one layout")
-    m = np.stack([cut_matrix(s, cut) for s in states])
+    m = cut_matrix(StateSet(states, require_orthonormal=False), cut)
     a = m.swapaxes(-1, -2)
     left, s, _ = np.linalg.svd(a)
     rank = np.sum(s > ATOL, axis=-1)

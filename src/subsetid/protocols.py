@@ -69,8 +69,8 @@ class Measurement:
         dim = None
         for i, p in enumerate(self.projectors):
             m = np.array(p, dtype=np.complex128)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"projector {i} is not a square matrix")
+            if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+                raise ValueError(f"projector {i} is not a nonempty square matrix")
             if dim is None:
                 dim = m.shape[0]
             elif m.shape[0] != dim:

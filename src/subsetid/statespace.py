@@ -11,18 +11,22 @@ groups factors party-major, copy-minor (A1 A2 ... B1 B2 ...).
 
 Every statement about a bipartition (reductions, Schmidt coefficients,
 one-sided unitaries) is read off :func:`cut_matrix`, the amplitudes as a
-matrix M across the cut: M M^dagger is the left-side reduction. No dense
-mixed state or partial trace is formed here; those live under ``tests/`` as
-the references the engine's fast paths are checked against.
+matrix M across the cut: M M^dagger is the left-side reduction. Given a
+StateSet, these functions read all its members in one stacked pass. No
+dense mixed state or partial trace is formed here; those live under
+``tests/`` as the references the engine's fast paths are checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .subsets import StateSet
 
 #: tolerance for logical predicates (orthogonality, maximal entanglement, ...)
 ATOL = 1e-9
@@ -194,28 +198,33 @@ def permute_factors(s: StateVector, order: Sequence[int]) -> StateVector:
     return StateVector(layout, np.ascontiguousarray(t).reshape(-1))
 
 
-def cut_matrix(s: StateVector, cut: Cut) -> np.ndarray:
+def cut_matrix(s: StateVector | StateSet, cut: Cut) -> np.ndarray:
     """The amplitudes as a (left dim, right dim) matrix across the cut.
 
     Rows run over the left side's factors and columns over the right's,
     each side in layout order, so M M^dagger is the reduction onto the left
-    side and the singular values of M are the Schmidt coefficients.
+    side and the singular values of M are the Schmidt coefficients. Leading
+    axes of ``s.amplitudes`` are kept, so a StateSet, through its (n, dim)
+    matrix, gives all n members' matrices as one (n, left dim, right dim)
+    stack in one reshape and transpose.
     """
     lpos, rpos = cut.positions(s.layout)
     dims = s.layout.dims
-    m = s.amplitudes.reshape(dims).transpose(lpos + rpos)
-    return m.reshape(math.prod(dims[i] for i in lpos), -1)
+    lead = s.amplitudes.shape[:-1]
+    axes = tuple(range(len(lead))) + tuple(len(lead) + i for i in lpos + rpos)
+    m = s.amplitudes.reshape(lead + dims).transpose(axes)
+    return m.reshape(lead + (math.prod(dims[i] for i in lpos), -1))
 
 
-def schmidt_coefficients(s: StateVector, cut: Cut) -> np.ndarray:
-    """Singular values of the state's cut matrix, descending."""
+def schmidt_coefficients(s: StateVector | StateSet, cut: Cut) -> np.ndarray:
+    """Singular values of the cut matrix, descending; one row per StateSet member."""
     return np.linalg.svd(cut_matrix(s, cut), compute_uv=False)
 
 
-def is_maximally_entangled(s: StateVector, cut: Cut, tol: float = ATOL) -> bool:
-    """True when all Schmidt coefficients equal 1/sqrt(min side dimension)."""
+def is_maximally_entangled(s: StateVector | StateSet, cut: Cut, tol: float = ATOL) -> bool:
+    """True when every Schmidt coefficient (of every member) equals 1/sqrt(min side dim)."""
     coeffs = schmidt_coefficients(s, cut)
-    target = 1.0 / math.sqrt(coeffs.size)
+    target = 1.0 / math.sqrt(coeffs.shape[-1])
     return bool(np.max(np.abs(coeffs - target)) <= tol)
 
 

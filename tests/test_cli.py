@@ -174,6 +174,30 @@ class TestCertify:
         assert proc.stdout == ""
         assert json.loads(out.read_text(encoding="utf-8"))["version"] == 1
 
+    @pytest.mark.parametrize("missing_dir", [True, False])
+    def test_unwritable_output_exits_2(self, triple_script, tmp_path, capsys, missing_dir):
+        # a path under a missing directory, or the empty path ("--output="),
+        # which names the working directory
+        flag = f"--output={tmp_path / 'missing' / 'r.json'}" if missing_dir else "--output="
+        assert cli.run(["certify", triple_script, flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output ")
+        assert not (tmp_path / "missing").exists()
+
+    def test_structured_error_to_unwritable_output_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.sid"
+        path.write_text("set b = bogus\n", encoding="utf-8")
+        out = tmp_path / "missing" / "r.json"
+        argv = ["certify", str(path), "--format", "structured", "--output", str(out)]
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("error: line 1, column 9: unexpected 'bogus'")
+        assert lines[1] == f"error: cannot write output {str(out)!r}: No such file or directory"
+
     def test_max_dim_guard_exit_code(self, triple_script):
         proc = run_cli("certify", triple_script, "--max-dim", "8")
         assert proc.returncode == 3

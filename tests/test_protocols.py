@@ -96,6 +96,12 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="share one dimension"):
             Measurement("A", (np.eye(2), np.eye(3)))
 
+    def test_empty_projector_is_refused_at_construction(self):
+        # built, it would make validate raise numpy's zero-size reduction
+        # error instead of returning a report
+        with pytest.raises(ValueError, match="projector 0 is not a nonempty square matrix"):
+            Measurement("A", (np.zeros((0, 0)),))
+
     def test_first_violation_messages(self):
         not_herm = Measurement("A", (np.array([[0, 1], [0, 0]]), np.eye(2)))
         assert "not Hermitian" in not_herm.first_violation()

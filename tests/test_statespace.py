@@ -11,9 +11,12 @@ from subsetid import (
     Cut,
     Factor,
     Layout,
+    StateSet,
     StateVector,
     all_bipartitions,
+    bell_basis,
     cut_matrix,
+    ges_basis,
     ghz3_basis,
     ghz4_basis,
     is_maximally_entangled,
@@ -265,6 +268,34 @@ def test_cut_matrix_gives_the_dense_reduction_on_every_member(family):
     for s in family().states:
         check_reductions_are_valid_states(s)
         check_reductions_against_the_dense_trace(s)
+
+
+@pytest.mark.parametrize(
+    "family", [bell_basis, ghz3_basis, ghz4_basis, lambda: ges_basis(2), lambda: ges_basis(3)]
+)
+def test_stacked_cut_matrix_is_each_members_matrix(family):
+    state_set = family()
+    for cut in all_bipartitions(state_set.parties):
+        for side in (cut, Cut(cut.right, cut.left)):
+            stack = cut_matrix(state_set, side)
+            assert stack.shape[0] == len(state_set)
+            for i, s in enumerate(state_set.states):
+                single = cut_matrix(s, side)
+                assert stack[i].shape == single.shape
+                assert stack[i].tobytes() == single.tobytes()
+
+
+def test_stack_is_maximally_entangled_only_when_every_member_is():
+    bell = bell_basis()
+    assert is_maximally_entangled(bell, Cut.between("A", "B"))
+    assert schmidt_coefficients(bell, Cut.between("A", "B")).shape == (4, 2)
+    # one product member among maximally entangled ones
+    product = StateVector(qubit_layout("A", "B"), [1, 0, 0, 0])
+    mixed = StateSet(bell.states[1:] + (product,), require_orthonormal=False)
+    assert not is_maximally_entangled(mixed, Cut.between("A", "B"))
+    ghz = ghz3_basis()
+    assert is_maximally_entangled(ghz, Cut.between("A", "BC"))
+    assert is_maximally_entangled(ghz, Cut.between("AB", "C"))
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,6 +35,7 @@ from .subsets import (
     MixedHypothesis,
     StateSet,
     SubsetTask,
+    check_tolerance,
     hypothesis_ensemble,
     stacked_rows,
 )
@@ -219,6 +220,9 @@ class _Factored:
     ``adjoint`` stacks every ``W[o]^†`` (rows ``starts[o]`` up to
     ``starts[o] + ranks[o]`` belong to outcome o); ``summing`` maps the mass
     of every row to the mass of its outcome (0 for a zero projector).
+    ``by_rank`` holds, for each rank r that occurs, r, the outcomes of rank
+    r, and the rows of ``adjoint`` that belong to them in order, or None for
+    those rows when every outcome has rank r.
 
     When every row of ``adjoint`` has exactly one nonzero entry and that
     entry is exactly 1 or -1, the measurement is a signed coordinate
@@ -232,6 +236,7 @@ class _Factored:
     starts: np.ndarray
     ranks: np.ndarray
     summing: np.ndarray
+    by_rank: tuple[tuple[int, np.ndarray, np.ndarray | None], ...]
     columns: np.ndarray | None
     signs: np.ndarray | None
 
@@ -245,6 +250,12 @@ class _Factored:
         starts = np.concatenate(([0], np.cumsum(ranks)[:-1]))
         adjoint = np.concatenate([w.conj().T for w in isometries])
         summing = np.repeat(np.eye(len(ranks)), ranks, axis=0)
+        distinct = dict.fromkeys(ranks.tolist())
+        by_rank = tuple(
+            (r, np.flatnonzero(ranks == r),
+             None if len(distinct) == 1 else np.flatnonzero(np.repeat(ranks == r, ranks)))
+            for r in distinct
+        )
         columns = signs = None
         nonzero = adjoint != 0
         if (nonzero.sum(axis=1) == 1).all():
@@ -254,7 +265,7 @@ class _Factored:
                 columns = picks
                 if (entries == -1).any():
                     signs = entries.real[:, None]
-        return cls(adjoint, tuple(isometries), starts, ranks, summing, columns, signs)
+        return cls(adjoint, tuple(isometries), starts, ranks, summing, by_rank, columns, signs)
 
 
 #: amplitudes one chunk of run_exact's stacked orderings may hold (256 KiB)
@@ -275,44 +286,83 @@ def _chunks(hypotheses: Sequence[MixedHypothesis], size: int):
     yield chunk
 
 
+def _in_node_order(parts):
+    """Join per-batch columns, node ids first, in node order.
+
+    Each part lists its rows in node order and holds every row of its
+    nodes, so one part is already in order, and a stable sort of the joined
+    node ids keeps the rows of each node as their part listed them.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    order = np.argsort(columns[0], kind="stable")
+    return [column[order] for column in columns]
+
+
 def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
     """Every component's transcript distribution and the mass pruning dropped.
 
     ``amps`` holds one component per row, with one axis per party after the
-    row axis (party-major); ``axes[party]`` is the party's axis. A node of
-    the walk is one transcript: it holds, one row each, the coordinates of
-    every component that reached it, their component ids, and per axis the
+    row axis (party-major); ``axes[party]`` is the party's axis. The walk
+    measures the transcript tree one level at a time. A node is one
+    transcript: ``nodes[i]`` holds node i's prefix and, per axis, the
     isometry its party was last measured in (None: not yet measured). A
-    component reaches a node at most once, and children are listed parent
-    first, then outcome by outcome, so every component's dict fills in
-    lexicographic order of its outcome indices.
+    component reaches a node at most once. A level keeps its rows in
+    groups, one per row shape, each holding the coordinates, component ids
+    and node ids of its rows in node order. The rows of a group whose nodes
+    pick the same measurement and hold the same isometry on its axis form
+    one batch, which one gather or matmul, one mass reduction, one
+    ``@ summing`` and one prune test measure at once.
+
+    Children are numbered in lexicographic (parent, outcome index) order,
+    and a level's leaves and pruned masses are taken in node order, so each
+    component's dict fills in lexicographic order of its outcome indices and
+    its pruned mass adds up node by node, as in a walk of one ordering at a
+    time.
     """
     count = len(amps)
     last = len(steps) - 1
-    pruned = np.zeros(count)
     dists: list[dict] = [{} for _ in range(count)]
-    nodes = [((), amps, np.arange(count), (None,) * (amps.ndim - 1))]
+    spilled = []  # per level, in node order: (component ids, mass pruning dropped)
+    nodes = [((), (None,) * (amps.ndim - 1))]
+    groups = [(np.zeros(count, np.intp), np.arange(count), amps)]
     for s, step in enumerate(steps):
-        grown = []
-        for prefix, vecs, comps, bases in nodes:
+        kinds: dict = {}  # (measurement, id of the isometry on its axis) -> kind
+        chosen = []  # per node: its kind, (number, measurement, isometry on its axis)
+        for prefix, bases in nodes:
             m = step.choose(prefix)
+            base = bases[axes[m.party]]
+            chosen.append(kinds.setdefault((m, id(base)), (len(kinds), m, base)))
+        batches = []
+        for ids, comps, vecs in groups:
+            if len(kinds) == 1:
+                batches.append((chosen[0], ids, comps, vecs))
+                continue
+            of_row = np.array([kind[0] for kind in chosen])[ids]
+            for kind in kinds.values():
+                mine = of_row == kind[0]
+                if mine.any():
+                    batches.append((kind, ids[mine], comps[mine], vecs[mine]))
+        dropping, leaves, pieces = [], [], []
+        for (_, m, base), ids, comps, vecs in batches:
             f = factored[m]
             ax = axes[m.party]
             g, shape = len(vecs), vecs.shape[1:]
             # explicit sizes: an axis may have shrunk to a zero projector's rank 0
             before, after = math.prod(shape[:ax]), math.prod(shape[ax + 1:])
-            selects = bases[ax] is None and f.columns is not None
+            selects = base is None and f.columns is not None
             if selects and s == last:  # the last step needs only each coordinate's mass
                 reals = vecs.reshape(g, before, shape[ax], after).view(np.float64)
                 # take, not [:, columns]: a C-ordered result sums in `@ summing` as a gather's does
                 rows = np.einsum("gicj,gicj->gc", reals, reals).take(f.columns, axis=1)
             else:
                 if selects:
-                    coeffs = np.take(vecs.reshape(g, before, shape[ax], after), f.columns, axis=2)
+                    coeffs = vecs.reshape(g, before, shape[ax], after).take(f.columns, axis=2)
                     if f.signs is not None:
                         coeffs *= f.signs
                 else:
-                    op = f.adjoint if bases[ax] is None else f.adjoint @ bases[ax]
+                    op = f.adjoint if base is None else f.adjoint @ base
                     coeffs = (op @ vecs.reshape(g * before, shape[ax], after)).reshape(
                         g, before, len(op), after
                     )
@@ -320,28 +370,68 @@ def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
                 rows = np.einsum("girj,girj->gr", reals, reals)
             masses = (rows[:, None, :] @ f.summing)[:, 0]
             dropped = masses < prune
-            pruned[comps] += np.where(dropped, masses, 0.0).sum(axis=1)
-            labels = [prefix + ((m.party, o),) for o in m.outcomes]
+            dropping.append((ids, comps, np.add.reduce(np.where(dropped, masses, 0.0), axis=1)))
+            kept = ~dropped
             if s == last:  # the last step builds no coordinates
-                rows, outcomes = np.nonzero(~dropped)
-                for c, o, p in zip(comps[rows].tolist(), outcomes.tolist(),
-                                   masses[rows, outcomes].tolist()):
-                    dists[c][labels[o]] = p
+                rows, outs = kept.nonzero()
+                leaves.append((ids[rows], comps[rows], outs, masses[kept]))
                 continue
-            for o, (start, r) in enumerate(zip(f.starts.tolist(), f.ranks.tolist())):
-                kept = ~dropped[:, o]
-                if kept.any():
-                    mine = comps[kept]
-                    grown.append((
-                        labels[o],
-                        coeffs[kept, :, start:start + r, :].reshape(
-                            (len(mine),) + shape[:ax] + (r,) + shape[ax + 1:]
+            # outcomes of one rank give rows of one shape: their coordinates
+            # are blocks of r consecutive rows of coeffs, one block per outcome
+            for r, outs, picks in f.by_rank:
+                blocks = coeffs if picks is None else coeffs.take(picks, axis=2)
+                rows, which = (kept if picks is None else kept[:, outs]).nonzero()
+                if len(rows):
+                    pieces.append((
+                        ids[rows],
+                        outs[which],
+                        comps[rows],
+                        blocks.reshape(g, before, len(outs), r, after)[rows, :, which].reshape(
+                            (len(rows),) + shape[:ax] + (r,) + shape[ax + 1:]
                         ),
-                        mine,
-                        bases[:ax] + (f.isometries[o],) + bases[ax + 1:],
                     ))
+        spilled.append(_in_node_order(dropping)[1:])
+        if s == last and len(nodes) == 1:  # as in a one-step protocol: no ids to look up
+            (_, m, _), (prefix, _) = chosen[0], nodes[0]
+            labels = [prefix + ((m.party, o),) for o in m.outcomes]
+            _, comps, outs, masses = leaves[0]
+            for c, o, p in zip(comps.tolist(), outs.tolist(), masses.tolist()):
+                dists[c][labels[o]] = p
+        elif s == last:
+            ids, comps, outs, masses = _in_node_order(leaves)
+            labels = [
+                [prefix + ((m.party, o),) for o in m.outcomes]
+                for (_, m, _), (prefix, _) in zip(chosen, nodes)
+            ]
+            for i, c, o, p in zip(ids.tolist(), comps.tolist(), outs.tolist(), masses.tolist()):
+                dists[c][labels[i][o]] = p
+        if s == last or not pieces:  # pieces is empty once pruning dropped every branch
+            break
+        # a child's key is parent * width + outcome index; the keys that
+        # occur, counted in increasing order, number the children
+        width = max(len(m.outcomes) for _, m, _ in kinds.values())
+        keys = [parents * width + outs for parents, outs, _, _ in pieces]
+        present = np.zeros(len(nodes) * width, dtype=bool)
+        for k in keys:
+            present[k] = True
+        numbers = np.cumsum(present) - 1
+        grown = []
+        for key in present.nonzero()[0].tolist():
+            parent, o = divmod(key, width)
+            (_, m, _), (prefix, bases) = chosen[parent], nodes[parent]
+            ax = axes[m.party]
+            grown.append((
+                prefix + ((m.party, m.outcomes[o]),),
+                bases[:ax] + (factored[m].isometries[o],) + bases[ax + 1:],
+            ))
         nodes = grown
-    return dists, pruned
+        by_shape: dict = {}
+        for k, (_, _, comps, vecs) in zip(keys, pieces):
+            by_shape.setdefault(vecs.shape[1:], []).append((numbers[k], comps, vecs))
+        groups = [_in_node_order(parts) for parts in by_shape.values()]
+    # bincount adds each component's masses one at a time, in level and node order
+    comps, masses = spilled[0] if len(spilled) == 1 else map(np.concatenate, zip(*spilled))
+    return dists, np.bincount(comps, masses, count).tolist()
 
 
 def run_exact(
@@ -387,15 +477,28 @@ def run_exact(
     shrinks from its dimension to rank(P_o), and a later measurement of the
     same party acts there through W'^† W_o.
 
-    The walk goes over the chunk's transcript tree one node at a time. A
+    The walk goes over the chunk's transcript tree one level at a time. A
     node is one transcript prefix together with every ordering of the
-    chunk that reached it; the prefix picks the step's measurement, and one
-    matmul and one mass reduction measure all of the node's orderings at
-    once. Pruning still acts on each ordering alone, and the last step
-    computes masses only. Every ordering runs the arithmetic it would run
-    alone, and children are listed parent first, then outcome by outcome,
-    so each ordering's transcripts come in lexicographic order of their
-    outcome indices.
+    chunk that reached it, and the prefix picks the step's measurement.
+    The rows of all of a level's nodes that share a row shape, pick the
+    same measurement and hold the same isometry on its party's axis form
+    one batch, and one matmul, one mass reduction, one ``@ summing`` and
+    one prune test measure the whole batch; a variant, a party measured
+    again or projectors of unequal rank split a level into several
+    batches. Pruning still acts on each ordering alone, and the last step
+    computes masses only. Children are numbered in lexicographic (parent,
+    outcome index) order, and each level's transcripts and pruned masses
+    are taken in node order, so each ordering's transcripts come in
+    lexicographic order of their outcome indices and its pruned mass adds
+    up node by node.
+
+    Batching does not change a bit: each row meets the same operator
+    (W^† or W'^† W_o, formed once per batch from the same factors), the
+    same einsum subscripts and the same per-item matmul shape as it would
+    alone. A batch only adds rows along the leading axis, which nothing is
+    summed over, as a node's orderings already were. So every row's
+    coordinates, masses and prune decisions carry the bits of a walk of
+    one ordering at a time.
 
     Soundness: W_o^† W_o = I, so ||P_o psi|| = ||W_o^† psi||; and a later
     projector acts as P' W_o c = W' (W'^† W_o c), so by induction every
@@ -404,12 +507,12 @@ def run_exact(
     the stacked W^† has a single nonzero entry, exactly 1 or -1 (diagonal
     projectors, such as digit parity or a computational basis), that is
     read off the measurement once, in its factoring, and a party's first
-    measurement gathers the selected coordinates of the node's rows,
+    measurement gathers the selected coordinates of the batch's rows,
     negating where the sign is -1, instead of multiplying. The matmul's row
     computes the same +-x_c plus exact zeros, so the gather gives its bits,
     up to the sign of a zero, which the masses square away. When that
     selection is also the last step, only masses are needed, so the mass of
-    every coordinate is read off the node's rows and the selected ones
+    every coordinate is read off the batch's rows and the selected ones
     picked, with no gather of coefficients: each selected mass sums the
     same squares in the same order as the gathered row would. A party
     measured again acts through W'^† W_o and stays on the matmul. All of
@@ -435,9 +538,9 @@ def run_exact(
         raise SettingError(f"prune must be a finite number in [0, 1), got {prune!r}")
     parties = layout.parties
     sizes = tuple(layout.party_dim(p) for p in parties)
-    factored = {
-        m: _Factored.of(m) for step in protocol.steps for _, m in step.all_measurements()
-    }
+    # variants may share one measurement; factor it once
+    measurements = dict.fromkeys(m for step in protocol.steps for _, m in step.all_measurements())
+    factored = {m: _Factored.of(m) for m in measurements}
     axes = {p: i for i, p in enumerate(parties)}
 
     distributions = []
@@ -455,7 +558,7 @@ def run_exact(
                     merged[t] = merged.get(t, 0.0) + p / orders
             distributions.append(merged)
             by_component.append(comp_dists)
-            pruned_mass.append(sum(p / orders for p in pruned[start:start + orders].tolist()))
+            pruned_mass.append(sum([p / orders for p in pruned[start:start + orders]]))
     return SimulationReport(
         hypotheses, tuple(distributions), tuple(by_component), tuple(pruned_mass)
     )
@@ -519,11 +622,14 @@ def _total_variation(p: dict, q: dict) -> float:
 def order_blindness_verdict(report: SimulationReport, tol: float = ATOL) -> Verdict:
     """Do all orderings of each subset induce the same transcript distribution?
 
-    A pair whose dicts compare equal is skipped: its total variation is
-    0.0, or NaN where an entry is NaN or infinite, and neither exceeds
-    ``worst`` (never below 0.0), so the skip changes neither the verdict
-    nor the witness.
+    ``tol`` must be a finite number above 0, as every tolerance must (see
+    :func:`check_tolerance`); any other value raises SettingError. A pair
+    whose dicts compare equal is skipped: its total variation is 0.0, or
+    NaN where an entry is NaN or infinite, and neither exceeds ``worst``
+    (never below 0.0), so the skip changes neither the verdict nor the
+    witness.
     """
+    check_tolerance(tol)
     worst = 0.0
     witness = None
     for h, comp_dists in zip(report.hypotheses, report.by_component):

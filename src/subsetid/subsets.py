@@ -46,17 +46,23 @@ from .statespace import ATOL, Factor, Layout, StateVector, permute_factors, tens
 DEFAULT_MAX_DIM = 2 ** 16
 
 
-def check_settings(tol: float, max_dim: int) -> None:
-    """Refuse a tolerance or dimension guard under which verdicts mean nothing.
+def check_tolerance(tol: float) -> None:
+    """Refuse a tolerance under which verdicts mean nothing.
 
     Predicates compare measured deviations against ``tol``; a NaN tolerance
     makes every comparison false, an infinite one passes every check, zero
     demands exact floating-point equality and a negative one fails every
-    check. A guard below 1 admits no stacked state at all. A bool is refused
-    as either, though Python counts True as the number 1.
+    check. A bool is refused, though Python counts True as the number 1.
     """
     if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise SettingError(f"tolerance must be a finite number above 0, got {tol!r}")
+
+
+def check_settings(tol: float, max_dim: int) -> None:
+    """Refuse a tolerance (see :func:`check_tolerance`) or a dimension guard
+    under which verdicts mean nothing. A guard below 1 admits no stacked
+    state at all; a bool is refused, though Python counts True as 1."""
+    check_tolerance(tol)
     if isinstance(max_dim, bool) or not (isinstance(max_dim, numbers.Integral) and max_dim >= 1):
         raise SettingError(f"max_dim must be an integer of at least 1, got {max_dim!r}")
 

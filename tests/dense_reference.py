@@ -6,10 +6,11 @@ matrix across the cut. These helpers build the dense objects the textbook
 way, independently of that code, so tests can compare the two routes.
 
 :func:`per_ordering_run` walks one ordering and one branch at a time, with
-the same factored projectors. ``run_exact`` runs the same walk with every
-ordering of a chunk that reached a transcript batched into that node's
-rows. Batching must not show in the results, so the transcripts, their
-order and their probabilities of this walk are the reference.
+the same factored projectors. ``run_exact`` runs the same walk one level of
+the transcript tree at a time, with the rows of every ordering of a chunk
+that reached any node of the level batched by the measurement they meet.
+Batching must not show in the results, so the transcripts, their order and
+their probabilities of this walk are the reference.
 """
 
 import math

@@ -32,6 +32,7 @@ from subsetid import (
     format_transcript,
     ges_basis,
     ghz3_basis,
+    ghz4_basis,
     hypothesis_ensemble,
     named_states,
     order_blindness_verdict,
@@ -415,13 +416,82 @@ def _digit_parity(party, base, digits):
     return Measurement(party, (np.diag(1 - odd), np.diag(odd)))
 
 
-def _assert_matches_the_per_ordering_walk(protocol, hypotheses, prune=PRUNE_TOL):
+def _assert_matches_the_per_ordering_walk(protocol, hypotheses, prune=PRUNE_TOL, pruned_within=0.0):
     report = run_exact(protocol, hypotheses, prune=prune)
     distributions, by_component, pruned_mass = per_ordering_run(protocol, hypotheses, prune)
     got = list(report.distributions) + [d for comps in report.by_component for d in comps]
     want = distributions + [d for comps in by_component for d in comps]
     assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
-    assert list(report.pruned_mass) == pruned_mass
+    assert list(report.pruned_mass) == pytest.approx(pruned_mass, rel=0, abs=pruned_within)
+
+
+class TestLevelWalk:
+    """Shapes the level walk batches, each checked against the per-ordering
+    walk at the default prune, at 0.05 and without pruning."""
+
+    @pytest.mark.parametrize("prune", [PRUNE_TOL, 0.05, 0.0])
+    def test_ghz3_three_copies_in_the_ghz3_basis(self, prune):
+        # twelve subsets fill three chunks; every level is one batch of up
+        # to 64 nodes
+        ghz3 = ghz3_basis()
+        protocol = Protocol("every-party", tuple(
+            ProtocolStep(basis_measurement(p, ghz3.states)) for p in "ABC"
+        ))
+        _assert_matches_the_per_ordering_walk(
+            protocol, hypothesis_ensemble(SubsetTask(ghz3, 3))[:12], prune
+        )
+
+    @pytest.mark.parametrize("prune", [PRUNE_TOL, 0.05, 0.0])
+    def test_ghz4_two_copies_in_the_bell_basis(self, prune):
+        # forty subsets fill two chunks; four levels of one batch each
+        bell = bell_basis().states
+        protocol = Protocol("every-party", tuple(
+            ProtocolStep(basis_measurement(p, bell)) for p in "ABCD"
+        ))
+        _assert_matches_the_per_ordering_walk(
+            protocol, hypothesis_ensemble(SubsetTask(ghz4_basis(), 2))[:40], prune
+        )
+
+    # at 0.05 a branch can drop some outcomes and keep others: the walk adds
+    # up a branch's dropped outcomes before adding them to the ordering's
+    # total, the reference adds them one by one, so the totals agree within
+    # 1e-15, as in test_run_exact_matches_the_per_ordering_walk
+    @pytest.mark.parametrize("prune, pruned_within", [(PRUNE_TOL, 0.0), (0.05, 1e-15), (0.0, 0.0)])
+    def test_leaves_from_several_row_groups(self, prune, pruned_within):
+        """A's first projectors have ranks 2, 1 and 1, so A:1 leaves rows of
+        another shape than A:2 and A:3; B swaps in a measurement of ranks 2
+        and 2 after A:2 only, which splits the group of A:2 and A:3 into two
+        batches and yields a third row shape; A, measured again, acts
+        through each earlier outcome's isometry. The last level's leaves
+        come from three groups, listed A:1, A:3, A:2, and must go back into
+        node order."""
+        rng = np.random.default_rng(3001)
+        protocol = Protocol("mixed", (
+            ProtocolStep(_random_measurement("A", 4, 3, rng)),
+            ProtocolStep(
+                _random_measurement("B", 4, 4, rng),
+                {(("A", 2),): _random_measurement("B", 4, 2, rng)},
+            ),
+            ProtocolStep(_random_measurement("A", 4, 3, rng)),
+        ))
+        assert [len(w.T) for w in _Factored.of(protocol.steps[0].measurement).isometries] == [
+            2, 1, 1
+        ]
+        _assert_matches_the_per_ordering_walk(
+            protocol, hypothesis_ensemble(SubsetTask(bell_basis(), 2)), prune, pruned_within
+        )
+
+    def test_pruning_every_branch_before_the_last_step(self):
+        # each computational outcome of A's maximally mixed block has mass
+        # 1/4, so at 0.5 the first level drops every branch
+        protocol = Protocol("tally", tuple(
+            ProtocolStep(basis_measurement(p, np.eye(4))) for p in "AB"
+        ))
+        hypotheses = hypothesis_ensemble(SubsetTask(bell_basis(), 2))
+        _assert_matches_the_per_ordering_walk(protocol, hypotheses, prune=0.5)
+        report = run_exact(protocol, hypotheses, prune=0.5)
+        assert all(not d for d in report.distributions)
+        assert report.pruned_mass == pytest.approx([1.0] * len(hypotheses), abs=1e-12)
 
 
 class TestCoordinateSelection:
@@ -555,6 +625,15 @@ class TestIdentification:
         assert verdict.ok and verdict.witness is None
         blind = order_blindness_verdict(report)
         assert blind.ok
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_order_blindness_refuses_a_meaningless_tolerance(self, tol):
+        # the report is order blind: a NaN or negative tolerance would fail
+        # it with no witness, and an infinite one would pass any report
+        report, _ = bell32_report()
+        assert order_blindness_verdict(report).ok
+        with pytest.raises(SettingError, match="tolerance must be a finite number above 0"):
+            order_blindness_verdict(report, tol)
 
     def test_order_blindness_convenience(self):
         protocol, _ = builtin_bell32_variants()

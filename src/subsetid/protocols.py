@@ -287,17 +287,20 @@ def _chunks(hypotheses: Sequence[MixedHypothesis], size: int):
 
 
 def _in_node_order(parts):
-    """Join per-batch columns, node ids first, in node order.
+    """Join per-batch columns, node ids first, so that every component's
+    rows come in node order.
 
-    Each part lists its rows in node order and holds every row of its
-    nodes, so one part is already in order, and a stable sort of the joined
-    node ids keeps the rows of each node as their part listed them.
+    Within a part every component's rows already come in node order, though
+    the rows of different components interleave, so one part is returned as
+    it is. Several parts are joined and sorted stably on node id; as a
+    component reaches a node at most once, its rows then come in node order
+    whatever order the parts were in.
     """
     if len(parts) == 1:
         return parts[0]
     columns = [np.concatenate(column) for column in zip(*parts)]
     order = np.argsort(columns[0], kind="stable")
-    return [column[order] for column in columns]
+    return [column.take(order, axis=0) for column in columns]
 
 
 def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
@@ -310,21 +313,30 @@ def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
     isometry its party was last measured in (None: not yet measured). A
     component reaches a node at most once. A level keeps its rows in
     groups, one per row shape, each holding the coordinates, component ids
-    and node ids of its rows in node order. The rows of a group whose nodes
-    pick the same measurement and hold the same isometry on its axis form
-    one batch, which one gather or matmul, one mass reduction, one
-    ``@ summing`` and one prune test measure at once.
+    and node ids of its rows. The rows of a group whose nodes pick the same
+    measurement and hold the same isometry on its axis form one batch, which
+    one gather or matmul, one mass reduction, one ``@ summing`` and one
+    prune test measure at once.
 
-    Children are numbered in lexicographic (parent, outcome index) order,
-    and a level's leaves and pruned masses are taken in node order, so each
-    component's dict fills in lexicographic order of its outcome indices and
-    its pruned mass adds up node by node, as in a walk of one ordering at a
-    time.
+    The walk relies on one invariant: in every group and batch, each
+    component's rows come in node order, while the rows of different
+    components may interleave. A batch takes its group's rows of one kind
+    in the order the group lists them. Children are numbered in
+    lexicographic (parent, outcome index) order and a row's children are
+    listed in outcome order, so a piece of one batch keeps the invariant,
+    and pieces of one shape from several batches are merged by
+    :func:`_in_node_order`. A level's leaves and pruned masses are merged
+    the same way before they are written, so each component's dict fills
+    in lexicographic order of its outcome indices and its pruned mass adds
+    up node by node, as in a walk of one ordering at a time. A batch whose
+    dropped masses are all exact zeros adds nothing: every total is a sum
+    of masses, which are never negative, and adding 0.0 to such a sum
+    leaves it as it is.
     """
     count = len(amps)
     last = len(steps) - 1
     dists: list[dict] = [{} for _ in range(count)]
-    spilled = []  # per level, in node order: (component ids, mass pruning dropped)
+    pruned = np.zeros(count)
     nodes = [((), (None,) * (amps.ndim - 1))]
     groups = [(np.zeros(count, np.intp), np.arange(count), amps)]
     for s, step in enumerate(steps):
@@ -339,11 +351,13 @@ def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
             if len(kinds) == 1:
                 batches.append((chosen[0], ids, comps, vecs))
                 continue
-            of_row = np.array([kind[0] for kind in chosen])[ids]
+            of_row = np.array([kind[0] for kind in chosen]).take(ids)
             for kind in kinds.values():
-                mine = of_row == kind[0]
-                if mine.any():
-                    batches.append((kind, ids[mine], comps[mine], vecs[mine]))
+                mine = np.flatnonzero(of_row == kind[0])
+                if len(mine):
+                    batches.append(
+                        (kind, ids.take(mine), comps.take(mine), vecs.take(mine, axis=0))
+                    )
         dropping, leaves, pieces = [], [], []
         for (_, m, base), ids, comps, vecs in batches:
             f = factored[m]
@@ -370,7 +384,9 @@ def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
                 rows = np.einsum("girj,girj->gr", reals, reals)
             masses = (rows[:, None, :] @ f.summing)[:, 0]
             dropped = masses < prune
-            dropping.append((ids, comps, np.add.reduce(np.where(dropped, masses, 0.0), axis=1)))
+            if np.count_nonzero(masses[dropped]):
+                lost = np.add.reduce(np.where(dropped, masses, 0.0), axis=1)
+                dropping.append((ids, comps, lost))
             kept = ~dropped
             if s == last:  # the last step builds no coordinates
                 rows, outs = kept.nonzero()
@@ -390,14 +406,10 @@ def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
                             (len(rows),) + shape[:ax] + (r,) + shape[ax + 1:]
                         ),
                     ))
-        spilled.append(_in_node_order(dropping)[1:])
-        if s == last and len(nodes) == 1:  # as in a one-step protocol: no ids to look up
-            (_, m, _), (prefix, _) = chosen[0], nodes[0]
-            labels = [prefix + ((m.party, o),) for o in m.outcomes]
-            _, comps, outs, masses = leaves[0]
-            for c, o, p in zip(comps.tolist(), outs.tolist(), masses.tolist()):
-                dists[c][labels[o]] = p
-        elif s == last:
+        if dropping:
+            _, comps, lost = _in_node_order(dropping)
+            np.add.at(pruned, comps, lost)  # adds one row at a time, in the order given
+        if s == last:
             ids, comps, outs, masses = _in_node_order(leaves)
             labels = [
                 [prefix + ((m.party, o),) for o in m.outcomes]
@@ -429,9 +441,7 @@ def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
         for k, (_, _, comps, vecs) in zip(keys, pieces):
             by_shape.setdefault(vecs.shape[1:], []).append((numbers[k], comps, vecs))
         groups = [_in_node_order(parts) for parts in by_shape.values()]
-    # bincount adds each component's masses one at a time, in level and node order
-    comps, masses = spilled[0] if len(spilled) == 1 else map(np.concatenate, zip(*spilled))
-    return dists, np.bincount(comps, masses, count).tolist()
+    return dists, pruned.tolist()
 
 
 def run_exact(
@@ -558,7 +568,7 @@ def run_exact(
                     merged[t] = merged.get(t, 0.0) + p / orders
             distributions.append(merged)
             by_component.append(comp_dists)
-            pruned_mass.append(sum([p / orders for p in pruned[start:start + orders]]))
+            pruned_mass.append(sum(p / orders for p in pruned[start:start + orders]))
     return SimulationReport(
         hypotheses, tuple(distributions), tuple(by_component), tuple(pruned_mass)
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterator
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .certificates import (
     all_bipartitions,
     certify_cut,
     certify_genuine,
-    max_hypothesis_overlap,
 )
 from .engine import execute, render_structured
 from .errors import NoConnectingUnitaryError, ScriptError
@@ -150,6 +149,22 @@ def check_regroup_signs():
 
 
 # --- 4: the full Bell set at two copies ---
+
+
+def max_hypothesis_overlap(state_set, k: int) -> float:
+    """Largest tr(rho_i rho_j) over distinct k-subsets, one pair at a time.
+
+    Exact, and independent of the certificate's O(n^2) bound: each overlap
+    is perm(F) / k! with F[s][t] = |<psi_{i_s}|psi_{j_t}>|^2, the permanent
+    summed over all k! permutations. The work grows as C(C(n, k), 2) * k!,
+    so this suits small sets only.
+    """
+    g2 = np.abs(state_set.gram) ** 2
+    subsets = itertools.combinations(range(len(state_set)), k)
+    return max(
+        sum(prod(g2[a, b] for a, b in zip(i, perm)) for perm in itertools.permutations(j))
+        for i, j in itertools.combinations(subsets, 2)
+    ) / factorial(k)
 
 
 def check_bell_pair_certificate():

@@ -27,9 +27,8 @@ permanent identity
 
 which follows from expanding both ordering sums.
 
-The orthogonality premise does not depend on the cut, so it is decided once
-per (set, k) and shared by every cut of a request. It is decided from the
-Gram matrix G in O(n^2) whenever a bound settles it. Let
+The orthogonality premise is decided on each cut from the set's Gram
+matrix G in O(n^2), through an upper bound on every overlap. Let
 
     eps = max_{a != b} |G_ab|^2,   m = max(1, max_{a,b} |G_ab|^2).
 
@@ -43,19 +42,12 @@ a (k-1)-by-(k-1) minor, which is at most (k-1)! m^(k-1). So
 
     tr(rho_i rho_j) = perm(F) / k! <= eps * m^(k-1)
 
-for every pair of distinct subsets. The premise is evaluated as
-
-    bound <= tol  or  max_hypothesis_overlap(set, k) <= tol,
-
-so the exact scan runs only when the bound is inconclusive, and the result
-is the scan's verdict for every tol: where the bound clears tol, so does
-every overlap the scan would compute. On the orthonormal families shipped
-here eps is at rounding level (below 1e-29), so the scan runs only for sets
-built with ``require_orthonormal=False`` or for tolerances below rounding.
-The scan visits all C(C(n, k), 2) subset pairs, vectorised over chunks of
-pairs. Each pair costs 2^k - 1 Ryser terms, so the scan refuses with
-ResourceLimitError when pairs * (2^k - 1) exceeds 3 * ``MAX_OVERLAP_PAIRS``,
-which is ``MAX_OVERLAP_PAIRS`` pairs at k = 2 and fewer at larger k.
+for every pair of distinct subsets. The premise holds when this bound is
+at most tol, and then so is every overlap. A bound above tol reports the
+premise as not shown: that is sound, as ``PremiseFails`` claims nothing.
+It loses no verdict on an orthonormal set: a set built with
+``require_orthonormal=True`` has a bound below 1.1e-18, under every
+tolerance that ``check_tolerance`` admits.
 """
 
 from __future__ import annotations
@@ -66,7 +58,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .statespace import ATOL, Cut, cut_matrix, is_maximally_entangled
 from .subsets import (
     DEFAULT_MAX_DIM,
@@ -74,7 +65,6 @@ from .subsets import (
     check_settings,
     check_stacked_dim,
     check_subset_size,
-    enumerate_subsets,
 )
 
 AXIOM_MES = "complete-MES-basis-indistinguishability"
@@ -86,12 +76,6 @@ PREMISE_FAILS = "PremiseFails"
 
 #: request marker: certify every bipartition of the parties
 ALL_CUTS = "all"
-
-#: most subset pairs the exact overlap scan will visit at k = 2; at other k
-#: the scan's Ryser terms, pairs * (2^k - 1), are held to 3 times this
-MAX_OVERLAP_PAIRS = 2 ** 24
-#: subset pairs gathered per vectorised step of the scan
-_PAIR_CHUNK = 2 ** 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,47 +128,6 @@ class GenuineResult:
     verdict: str
 
 
-def _ryser_permanents(blocks: np.ndarray) -> np.ndarray:
-    """Permanents of a batch of k-by-k real matrices via Ryser's formula."""
-    _, k, _ = blocks.shape
-    total = np.zeros(blocks.shape[0])
-    for mask in range(1, 2 ** k):
-        cols = [c for c in range(k) if mask >> c & 1]
-        rowsums = blocks[:, :, cols].sum(axis=2)
-        total += (-1) ** (k - len(cols)) * rowsums.prod(axis=1)
-    return total
-
-
-def max_hypothesis_overlap(state_set: StateSet, k: int) -> float:
-    """Largest tr(rho_i rho_j) over distinct subsets, via the permanent identity.
-
-    Exact: every pair of subsets is visited at 2^k - 1 Ryser terms each, so
-    the work grows as C(C(n, k), 2) * (2^k - 1) and is refused beyond
-    3 * ``MAX_OVERLAP_PAIRS`` terms.
-    """
-    subsets = np.array(enumerate_subsets(len(state_set), k))
-    h = len(subsets)
-    n_pairs = h * (h - 1) // 2
-    terms = n_pairs * (2 ** k - 1)
-    if terms > 3 * MAX_OVERLAP_PAIRS:
-        raise ResourceLimitError(
-            f"overlap scan over {n_pairs} hypothesis pairs ({terms} Ryser terms) "
-            f"exceeds the guard of {3 * MAX_OVERLAP_PAIRS} terms"
-        )
-    g2 = np.abs(state_set.gram) ** 2
-    # pair p runs over (i, j > i) row by row; row i starts at first[i]
-    later = np.arange(h - 1, -1, -1)
-    first = np.cumsum(later) - later
-    best = -np.inf
-    for lo in range(0, n_pairs, _PAIR_CHUNK):
-        p = np.arange(lo, min(lo + _PAIR_CHUNK, n_pairs))
-        i = np.searchsorted(first, p, side="right") - 1
-        j = p - first[i] + i + 1
-        blocks = g2[subsets[i][:, :, None], subsets[j][:, None, :]]
-        best = max(best, _ryser_permanents(blocks).max())
-    return float(best / math.factorial(k))
-
-
 def hypothesis_overlap_bound(state_set: StateSet, k: int) -> float:
     """eps * m^(k-1), an O(n^2) upper bound on every tr(rho_i rho_j) of
     distinct k-subsets (proof in the module docstring)."""
@@ -194,18 +137,7 @@ def hypothesis_overlap_bound(state_set: StateSet, k: int) -> float:
     return eps * m ** (k - 1)
 
 
-def orthogonal_hypotheses(state_set: StateSet, k: int, tol: float) -> bool:
-    """The pairwise-orthogonal-hypotheses premise: every overlap within tol.
-
-    The bound decides it when it clears tol; otherwise the exact scan does.
-    """
-    return (
-        hypothesis_overlap_bound(state_set, k) <= tol
-        or max_hypothesis_overlap(state_set, k) <= tol
-    )
-
-
-def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) -> Certificate:
+def certify_cut(request: CertificateRequest) -> Certificate:
     """Evaluate the counting certificate for a single bipartition.
 
     The unitary side is the cut side of larger stacked dimension (ties go to
@@ -214,16 +146,10 @@ def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) 
     the complete-basis principle; otherwise it cites the one-sided-unitary
     principle, whose premise (all stacked states share their reduction on
     the identity side) is checked explicitly.
-
-    ``orthogonal`` is the cut-independent overlap premise when the caller has
-    already decided it for this set, k and tolerance (see certify_genuine);
-    by default it is decided here.
     """
     if not isinstance(request.cut, Cut):
         raise ValueError("certify_cut needs a single cut; use certify_genuine for all")
     state_set, k, tol = request.state_set, request.k, request.tol
-    if orthogonal is None:
-        orthogonal = orthogonal_hypotheses(state_set, k, tol)
     cut = request.cut
     layout = state_set.layout
     lpos, rpos = cut.positions(layout)
@@ -234,7 +160,7 @@ def certify_cut(request: CertificateRequest, *, orthogonal: bool | None = None) 
     bound = max(left_stacked, right_stacked)
     identity_side = Cut(cut.right, cut.left) if unitary_side == "left" else cut
 
-    premises = {"pairwise-orthogonal-hypotheses": orthogonal}
+    premises = {"pairwise-orthogonal-hypotheses": hypothesis_overlap_bound(state_set, k) <= tol}
     # the SVDs are needed only when the complete-basis principle can apply
     if left_stacked == right_stacked and is_maximally_entangled(state_set, cut, tol):
         axiom = AXIOM_MES
@@ -311,15 +237,11 @@ def certify_genuine(request: CertificateRequest) -> GenuineResult:
     Over every bipartition of three or more parties the aggregate means the
     task is genuinely unidentifiable: no two-lab coalition ever helps; a
     two-party set degenerates to its single cut. Cuts follow the order of
-    ``all_bipartitions``. The overlap premise does not depend on the cut, so
-    it is decided once and every cut shares it.
+    ``all_bipartitions``.
     """
     if isinstance(request.cut, Cut):
         cuts = (request.cut,)
     else:
         cuts = all_bipartitions(request.state_set.parties)
-    orthogonal = orthogonal_hypotheses(request.state_set, request.k, request.tol)
-    certs = tuple(
-        certify_cut(replace(request, cut=cut), orthogonal=orthogonal) for cut in cuts
-    )
+    certs = tuple(certify_cut(replace(request, cut=cut)) for cut in cuts)
     return GenuineResult(certs, aggregate_verdict(c.verdict for c in certs))

@@ -28,7 +28,7 @@ from .errors import ResourceLimitError, ScriptError, SettingError
 from .families import bell_basis, check_ges_size, ges_basis, ghz3_basis, ghz4_basis
 from .script import parse as parse_script
 from .statespace import ATOL
-from .subsets import DEFAULT_MAX_DIM
+from .subsets import DEFAULT_MAX_DIM, TOLERANCE_FLOOR
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -161,7 +161,8 @@ def _cmd_verify(_args) -> int:
 # A converter is a callable, or a tuple of the admitted choices.
 # flag: (converter, default, metavar, help)
 _RUN_OPTIONS = {
-    "--tolerance": (float, ATOL, "REAL", "numeric tolerance for predicates, finite and above 0"),
+    "--tolerance": (float, ATOL, "REAL", "numeric tolerance for predicates, finite and at least "
+                    f"{TOLERANCE_FLOOR}, below which rounding decides the checks"),
     "--max-dim": (int, DEFAULT_MAX_DIM, "INT", "largest allowed stacked dimension, and largest "
                   "ges_basis(d) build as d**4 amplitudes"),
     "--output": (str, None, "PATH", "write the report here instead of stdout"),

@@ -217,9 +217,9 @@ class SimulationReport:
 class _Factored:
     """A measurement as isometries: ``projectors[o] == W[o] @ W[o]^†``.
 
-    ``adjoint`` stacks every ``W[o]^†`` (rows ``starts[o]`` up to
-    ``starts[o] + ranks[o]`` belong to outcome o); ``summing`` maps the mass
-    of every row to the mass of its outcome (0 for a zero projector).
+    ``adjoint`` stacks every ``W[o]^†`` in outcome order; ``summing`` maps
+    the mass of every row to the mass of its outcome (0 for a zero
+    projector).
     ``by_rank`` holds, for each rank r that occurs, r, the outcomes of rank
     r, and the rows of ``adjoint`` that belong to them in order, or None for
     those rows when every outcome has rank r.
@@ -233,8 +233,6 @@ class _Factored:
 
     adjoint: np.ndarray
     isometries: tuple[np.ndarray, ...]
-    starts: np.ndarray
-    ranks: np.ndarray
     summing: np.ndarray
     by_rank: tuple[tuple[int, np.ndarray, np.ndarray | None], ...]
     columns: np.ndarray | None
@@ -247,7 +245,6 @@ class _Factored:
             values, vectors = np.linalg.eigh(proj)
             isometries.append(vectors[:, values > 0.5])
         ranks = np.array([w.shape[1] for w in isometries])
-        starts = np.concatenate(([0], np.cumsum(ranks)[:-1]))
         adjoint = np.concatenate([w.conj().T for w in isometries])
         summing = np.repeat(np.eye(len(ranks)), ranks, axis=0)
         distinct = dict.fromkeys(ranks.tolist())
@@ -265,7 +262,7 @@ class _Factored:
                 columns = picks
                 if (entries == -1).any():
                     signs = entries.real[:, None]
-        return cls(adjoint, tuple(isometries), starts, ranks, summing, by_rank, columns, signs)
+        return cls(adjoint, tuple(isometries), summing, by_rank, columns, signs)
 
 
 #: amplitudes one chunk of run_exact's stacked orderings may hold (256 KiB)
@@ -632,12 +629,12 @@ def _total_variation(p: dict, q: dict) -> float:
 def order_blindness_verdict(report: SimulationReport, tol: float = ATOL) -> Verdict:
     """Do all orderings of each subset induce the same transcript distribution?
 
-    ``tol`` must be a finite number above 0, as every tolerance must (see
-    :func:`check_tolerance`); any other value raises SettingError. A pair
-    whose dicts compare equal is skipped: its total variation is 0.0, or
-    NaN where an entry is NaN or infinite, and neither exceeds ``worst``
-    (never below 0.0), so the skip changes neither the verdict nor the
-    witness.
+    ``tol`` must be a finite number of at least ``TOLERANCE_FLOOR``, as every
+    tolerance must (see :func:`check_tolerance`); any other value raises
+    SettingError. A pair whose dicts compare equal is skipped: its total
+    variation is 0.0, or NaN where an entry is NaN or infinite, and neither
+    exceeds ``worst`` (never below 0.0), so the skip changes neither the
+    verdict nor the witness.
     """
     check_tolerance(tol)
     worst = 0.0

@@ -45,17 +45,33 @@ from .statespace import ATOL, Factor, Layout, StateVector, permute_factors, tens
 #: largest stacked vector dimension a task will accept by default
 DEFAULT_MAX_DIM = 2 ** 16
 
+#: smallest tolerance any check accepts (derivation in check_tolerance)
+TOLERANCE_FLOOR = 1e-10
+
 
 def check_tolerance(tol: float) -> None:
     """Refuse a tolerance under which verdicts mean nothing.
 
-    Predicates compare measured deviations against ``tol``; a NaN tolerance
-    makes every comparison false, an infinite one passes every check, zero
-    demands exact floating-point equality and a negative one fails every
-    check. A bool is refused, though Python counts True as the number 1.
+    A NaN tolerance makes every comparison false, an infinite one passes
+    every check, and a bool is refused, though Python counts True as 1.
+    Below ``TOLERANCE_FLOOR`` rounding, not the states, would decide the
+    checks. Take g(n) = n * 2^-53, the standard-model error of an n-term
+    dot product per unit of its terms' absolute sum (Higham, ch. 3; complex
+    terms count n + 2). Under the default guard D = 2^16 and k >= 2, one
+    copy holds at most 256 amplitudes, and in the largest pair task,
+    ges_basis(16) at k = 2, each party measures a block of d = 256. Then
+    reductions of two members differ by at most 2 g(258) = 5.8e-14;
+    Schmidt coefficients (backward-stable SVD, Weyl) by g(256) = 2.8e-14;
+    a set built with ``require_orthonormal=True`` has a Gram bound of at
+    most 1e-18 (1 + 1e-9)^30 < 1.1e-18 at k <= 16; and an ordering's
+    transcript masses move in L1 by 2 g(d + 2) sqrt(d) per measured party
+    plus g(2D) in their final sums, 1.6e-11 over two parties, which bounds
+    the order-blindness total variation. The floor is 6 times the largest.
     """
-    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
-        raise SettingError(f"tolerance must be a finite number above 0, got {tol!r}")
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and TOLERANCE_FLOOR <= tol < math.inf):
+        raise SettingError(
+            f"tolerance must be a finite number of at least {TOLERANCE_FLOOR}, got {tol!r}"
+        )
 
 
 def check_settings(tol: float, max_dim: int) -> None:

@@ -65,7 +65,8 @@ def _run_pure(protocol, axes: dict, factored: dict, amps: np.ndarray, prune: flo
                 if mass < prune:
                     pruned += mass
                     continue
-                s, r = f.starts[o], f.ranks[o]
+                s = sum(w.shape[1] for w in f.isometries[:o])
+                r = f.isometries[o].shape[1]
                 grown.append((
                     prefix + ((m.party, m.outcomes[o]),),
                     coeffs[:, s:s + r, :].reshape(shape[:ax] + (r,) + shape[ax + 1:]),

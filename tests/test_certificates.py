@@ -20,26 +20,35 @@ from subsetid import (
     bell_basis,
     certify_cut,
     certify_genuine,
-    execute,
     ges_basis,
     ghz3_basis,
     ghz4_basis,
     hypothesis_ensemble,
-    max_hypothesis_overlap,
     named_states,
 )
 from subsetid import certificates
+from subsetid.acceptance import max_hypothesis_overlap
 from subsetid.certificates import (
     AXIOM_MES,
     AXIOM_ONE_SIDED,
     aggregate_verdict,
     hypothesis_overlap_bound,
-    orthogonal_hypotheses,
 )
 from subsetid.errors import ResourceLimitError, SettingError
-from subsetid.statespace import ATOL, StateVector, cut_matrix, is_maximally_entangled, qubit_layout
+from subsetid.statespace import (
+    ATOL,
+    Factor,
+    Layout,
+    StateVector,
+    cut_matrix,
+    is_maximally_entangled,
+    qubit_layout,
+)
 
 AB = Cut.between("A", "B")
+#: the documented tolerance floor, written out so that a floor moved either
+#: way fails a test: it is admitted, and one tenth of it, 1e-11, is refused
+FLOOR = 1e-10
 
 
 def doctored_set():
@@ -203,7 +212,7 @@ def test_counting_scan_small(d):
         assert cert.verdict == expected, f"d={d} k={k}"
 
 
-# --- the overlap premise: O(n^2) bound first, exact scan as the fallback ---
+# --- the overlap premise: the O(n^2) bound, against the exact overlap ---
 
 
 @st.composite
@@ -235,37 +244,44 @@ def test_bound_dominates_the_exact_scan(case):
 
 @settings(max_examples=80, deadline=None)
 @given(overlapping_sets())
-def test_fast_premise_equals_the_exact_scan(case):
+def test_premise_is_the_bound_and_clears_the_exact_overlap(case):
+    # the premise is the bound alone; wherever it holds, so does every
+    # exact overlap, and a bound above tol only leaves the premise unshown
     state_set, k = case
-    scan = max_hypothesis_overlap(state_set, k)
+    exact = max_hypothesis_overlap(state_set, k)
     bound = hypothesis_overlap_bound(state_set, k)
-    tols = [1e-12, ATOL, scan / 2, scan * (1 + 1e-9), bound * (1 - 1e-9), bound * (1 + 1e-9), 1.0]
-    for tol in (t for t in tols if t > 0):
-        assert orthogonal_hypotheses(state_set, k, tol) == (scan <= tol), tol
+    tols = [FLOOR, ATOL, exact / 2, exact * (1 + 1e-9), bound * (1 - 1e-9), bound * (1 + 1e-9), 1.0]
+    for tol in (t for t in tols if t >= FLOOR):
+        cert = certify_cut(CertificateRequest(state_set, k, AB, tol=tol))
+        premise = cert.premises["pairwise-orthogonal-hypotheses"]
+        assert premise == (bound <= tol), tol
+        assert not premise or exact <= tol, tol
 
 
-def brute_max_overlap(state_set, k):
-    """max perm(F) / k! over pairs of distinct subsets, one pair at a time."""
-    g2 = np.abs(state_set.gram) ** 2
-    subsets = itertools.combinations(range(len(state_set)), k)
-    return max(
-        sum(math.prod(g2[a, b] for a, b in zip(i, perm)) for perm in itertools.permutations(j))
-        for i, j in itertools.combinations(subsets, 2)
-    ) / math.factorial(k)
+@st.composite
+def orthonormal_sets(draw):
+    """n members of a random orthonormal basis (the Q of a drawn matrix's
+    QR) on a two-party layout of dimension 4, 6 or 9, and a subset size."""
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    dim = dims[0] * dims[1]
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    x = np.array(draw(st.lists(parts, min_size=2 * dim * dim, max_size=2 * dim * dim)))
+    m = (x[: dim * dim] + 1j * x[dim * dim:]).reshape(dim, dim)
+    assume(abs(np.linalg.det(m)) > 1e-3)
+    q, _ = np.linalg.qr(m)
+    n = draw(st.integers(3, dim))
+    k = draw(st.integers(2, min(n - 1, 5)))  # 9**5 stays inside the guard
+    layout = Layout((Factor("A", 1, dims[0]), Factor("B", 1, dims[1])))
+    return StateSet([StateVector(layout, q[:, a]) for a in range(n)], name="qr"), k
 
 
-@settings(max_examples=40, deadline=None)
-@given(overlapping_sets())
-def test_scan_visits_every_pair_in_any_chunking(case):
+@settings(max_examples=60, deadline=None)
+@given(orthonormal_sets())
+def test_orthonormal_sets_hold_the_premise_at_the_floor(case):
     state_set, k = case
-    expected = brute_max_overlap(state_set, k)
-    assert max_hypothesis_overlap(state_set, k) == pytest.approx(expected, rel=1e-12, abs=1e-15)
-    original = certificates._PAIR_CHUNK
-    certificates._PAIR_CHUNK = 7
-    try:
-        assert max_hypothesis_overlap(state_set, k) == pytest.approx(expected, rel=1e-12, abs=1e-15)
-    finally:
-        certificates._PAIR_CHUNK = original
+    cert = certify_cut(CertificateRequest(state_set, k, AB, tol=FLOOR))
+    assert cert.premises["pairwise-orthogonal-hypotheses"] is True
+    assert hypothesis_overlap_bound(state_set, k) <= 1.1e-18
 
 
 def test_scan_matches_the_literal_trace_at_three_copies():
@@ -275,31 +291,6 @@ def test_scan_matches_the_literal_trace_at_three_copies():
         float(np.trace(a @ b).real) for a, b in itertools.combinations(rhos, 2)
     )
     assert max_hypothesis_overlap(state_set, 3) == pytest.approx(literal, abs=1e-12)
-
-
-def test_families_never_reach_the_scan(monkeypatch):
-    def refuse(*_):
-        raise AssertionError("the exact scan ran")
-
-    monkeypatch.setattr(certificates, "max_hypothesis_overlap", refuse)
-    assert orthogonal_hypotheses(ghz3_basis(), 3, ATOL)
-    assert certify_genuine(CertificateRequest(ghz3_basis(), 2)).verdict == CERTIFIED
-
-
-def test_premise_decided_once_per_request(monkeypatch):
-    calls = []
-    real = certificates.orthogonal_hypotheses
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(certificates, "orthogonal_hypotheses", counted)
-    result = certify_genuine(CertificateRequest(ghz3_basis(), 2))
-    assert len(result.certificates) == 3 and len(calls) == 1
-    calls.clear()
-    execute("set g = ghz3_basis\ntask t = subset(g, k=2)\ncertify t cut all\n")
-    assert len(calls) == 1
 
 
 def test_entanglement_checked_only_on_equal_sides(monkeypatch):
@@ -384,36 +375,13 @@ def test_single_copy_premises_match_the_stacked_components(build, k):
             assert cert.premises["equal-identity-side-reductions"] == agree, cert.cut
 
 
-def test_pair_guard(monkeypatch):
-    monkeypatch.setattr(certificates, "MAX_OVERLAP_PAIRS", 14)
-    with pytest.raises(ResourceLimitError, match="15 hypothesis pairs"):
-        max_hypothesis_overlap(doctored_set(), 2)
-    with pytest.raises(ResourceLimitError, match="15 hypothesis pairs"):
-        certify_cut(CertificateRequest(doctored_set(), 2, AB))
-    # the bound settles orthonormal families without touching the guard
-    assert certify_cut(CertificateRequest(bell_basis(), 2, AB)).verdict == CERTIFIED
-
-
-def test_guard_counts_ryser_terms(monkeypatch):
-    # 6 pairs of 3-subsets at 7 Ryser terms each: 42 terms, over the 30 of a
-    # 10-pair limit although the pair count is under it
-    monkeypatch.setattr(certificates, "MAX_OVERLAP_PAIRS", 10)
-    with pytest.raises(ResourceLimitError, match=r"6 hypothesis pairs \(42 Ryser terms\)"):
-        max_hypothesis_overlap(doctored_set(), 3)
-    monkeypatch.setattr(certificates, "MAX_OVERLAP_PAIRS", 14)
-    assert max_hypothesis_overlap(doctored_set(), 3) > 0
-    # at k = 2 the limit is still the pair count: 15 pairs pass a 15-pair limit
-    monkeypatch.setattr(certificates, "MAX_OVERLAP_PAIRS", 15)
-    assert max_hypothesis_overlap(doctored_set(), 2) > 0
-
-
 def test_largest_pair_task_inside_the_dimension_guard():
     cert = certify_cut(CertificateRequest(ges_basis(16), 2, AB))
     assert (cert.kappa, cert.bound, cert.verdict) == (32640, 256, CERTIFIED)
 
 
 @pytest.mark.parametrize(
-    "tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9, "1e-9", True]
+    "tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9, "1e-9", True, 1e-11]
 )
 def test_request_refuses_meaningless_tolerances(tol):
     with pytest.raises(SettingError, match="tolerance"):
@@ -424,3 +392,30 @@ def test_request_refuses_meaningless_tolerances(tol):
 def test_request_refuses_meaningless_dimension_guards(max_dim):
     with pytest.raises(SettingError, match="max_dim"):
         CertificateRequest(bell_basis(), 2, AB, max_dim=max_dim)
+
+
+# the certify-sweep benchmark's requests: (set, k, cut)
+_SWEEP = [
+    *(pytest.param(bell_basis, k, AB, id=f"bell-k{k}") for k in (2, 3)),
+    pytest.param(lambda: named_states(["B1", "B2", "B3"]), 2, AB, id="trio-k2"),
+    *(
+        pytest.param(lambda d=d: ges_basis(d), k, AB, id=f"ges{d}-k{k}")
+        for d, ks in ((2, (2, 3)), (3, (2, 3, 4, 5)), (4, (2, 3)), (5, (2,)), (6, (2,)), (16, (2,)))
+        for k in ks
+    ),
+    *(pytest.param(ghz3_basis, k, "all", id=f"ghz3-k{k}-all") for k in (2, 3)),
+    pytest.param(ghz4_basis, 2, "all", id="ghz4-k2-all"),
+    pytest.param(ghz4_basis, 3, Cut.between("AB", "CD"), id="ghz4-k3-AB:CD"),
+]
+
+
+@pytest.mark.parametrize("build, k, cut", _SWEEP)
+def test_the_floor_gives_the_default_certificates(build, k, cut):
+    # every check's rounding sits far below the floor, so no certificate
+    # of the benchmark's sweep changes between the floor and the default
+    state_set = build()
+    at_floor, at_default = (
+        certify_genuine(CertificateRequest(state_set, k, cut, tol=tol)) for tol in (FLOOR, ATOL)
+    )
+    assert at_floor.verdict == at_default.verdict
+    assert [vars(c) for c in at_floor.certificates] == [vars(c) for c in at_default.certificates]

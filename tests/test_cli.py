@@ -210,6 +210,7 @@ class TestCertify:
             ("--tolerance", "inf"),
             ("--tolerance", "0"),
             ("--max-dim", "-5"),
+            ("--tolerance", "1e-11"),
         ],
     )
     def test_meaningless_settings_exit_2(self, triple_script, flags):
@@ -223,16 +224,16 @@ class TestCertify:
         assert "kappa 32640 vs bound 256 (unitary side right) -> Certified" in proc.stdout
 
     def test_pair_guard_exit_code(self):
-        # a tolerance below rounding leaves the bound inconclusive, and the
-        # exact scan over C(32640, 2) pairs is refused
+        # a tolerance below rounding once sent this task to an exact scan
+        # over C(32640, 2) hypothesis pairs; now the floor refuses it first
         proc = run_cli(
             "certify", "-", "--format", "structured", "--tolerance", "1e-300",
             stdin=GES16_SCRIPT,
         )
-        assert proc.returncode == 3
+        assert proc.returncode == 2
         error = json.loads(proc.stdout)["error"]
-        assert error["type"] == "ResourceLimitError"
-        assert "532668480 hypothesis pairs" in error["message"]
+        assert error["type"] == "SettingError"
+        assert "at least 1e-10, got 1e-300" in error["message"]
 
     @pytest.mark.parametrize(
         "exc,code", [(MemoryError(), 3), (ZeroDivisionError("division by zero"), 1)]

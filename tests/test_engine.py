@@ -362,6 +362,7 @@ class TestExecutionErrors:
             {"only": {"simulate "}},
             {"only": 5},
             {"only": "simulate"},
+            {"tolerance": 1e-11},
         ],
     )
     def test_meaningless_settings_are_refused(self, settings, monkeypatch):

@@ -626,13 +626,14 @@ class TestIdentification:
         blind = order_blindness_verdict(report)
         assert blind.ok
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, 1e-11])
     def test_order_blindness_refuses_a_meaningless_tolerance(self, tol):
         # the report is order blind: a NaN or negative tolerance would fail
-        # it with no witness, and an infinite one would pass any report
+        # it with no witness, an infinite one would pass any report, and
+        # one below the floor would let rounding decide
         report, _ = bell32_report()
         assert order_blindness_verdict(report).ok
-        with pytest.raises(SettingError, match="tolerance must be a finite number above 0"):
+        with pytest.raises(SettingError, match="tolerance must be a finite number of at least 1e-10"):
             order_blindness_verdict(report, tol)
 
     def test_order_blindness_convenience(self):

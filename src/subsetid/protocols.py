@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -58,7 +59,11 @@ class Measurement:
     Projectors need not be rank one. Outcome labels default to 1..m.
     Invariant checks (Hermiticity, mutual orthogonality, completeness) are
     deliberately not run at construction; :func:`validate` reports them, so
-    a malformed protocol can be built and then diagnosed.
+    a malformed protocol can be built and then diagnosed. The projectors are
+    copied into one private read-only (m, d, d) stack, ``projectors`` holds
+    read-only views of it (writing to one raises ValueError), and the object
+    is frozen; so its check and its factoring are pure functions of it, each
+    computed once and cached on it. A copy or an unpickled one is rebuilt.
     """
 
     party: str
@@ -66,21 +71,18 @@ class Measurement:
     outcomes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        mats = []
-        dim = None
-        for i, p in enumerate(self.projectors):
-            m = np.array(p, dtype=np.complex128)
+        mats = [np.asarray(p, dtype=np.complex128) for p in self.projectors]
+        for i, m in enumerate(mats):
             if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
                 raise ValueError(f"projector {i} is not a nonempty square matrix")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
+            if m.shape != mats[0].shape:
                 raise ValueError("projectors must share one dimension")
-            m.flags.writeable = False
-            mats.append(m)
         if not mats:
             raise ValueError("a measurement needs at least one projector")
-        object.__setattr__(self, "projectors", tuple(mats))
+        stack = np.stack(mats)
+        stack.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "projectors", tuple(stack))
         outcomes = tuple(self.outcomes) or tuple(range(1, len(mats) + 1))
         if len(outcomes) != len(mats):
             raise ValueError(f"{len(outcomes)} outcome labels for {len(mats)} projectors")
@@ -93,33 +95,45 @@ class Measurement:
         return self.projectors[0].shape[0]
 
     def first_violation(self) -> str | None:
-        """Description of the first broken measurement invariant, if any."""
-        d = self.dim
-        for i, p in enumerate(self.projectors):
-            if not np.isfinite(p).all():
-                return f"projector {i} has a non-finite entry"
-            dev = float(np.max(np.abs(p - p.conj().T)))
-            if dev > ATOL:
-                return f"projector {i} is not Hermitian (deviation {dev:.3e})"
-        for i in range(len(self.projectors)):
-            for j in range(i + 1, len(self.projectors)):
-                dev = float(np.max(np.abs(self.projectors[i] @ self.projectors[j])))
-                if dev > ATOL:
-                    return f"projectors {i} and {j} are not orthogonal (max entry {dev:.3e})"
-        total = sum(self.projectors)
-        dev = float(np.max(np.abs(total - np.eye(d))))
+        """Description of the first broken measurement invariant, if any:
+        projector by projector, finiteness then Hermiticity; then the pairs
+        (i, j), i < j, in order; then completeness."""
+        return self._violation
+
+    @cached_property
+    def _violation(self) -> str | None:
+        # each test runs on the whole stack, with one projector's or pair's bits
+        stack = self._stack
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        first = int(np.argmin(finite)) if not finite.all() else len(stack)
+        # only projectors before the first non-finite one: inf - inf would warn
+        devs = np.abs(stack[:first] - stack[:first].conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        for i in np.flatnonzero(devs > ATOL)[:1].tolist():
+            return f"projector {i} is not Hermitian (deviation {devs[i]:.3e})"
+        if first < len(stack):
+            return f"projector {first} has a non-finite entry"
+        for i in range(len(stack) - 1):
+            devs = np.abs(stack[i] @ stack[i + 1:]).max(axis=(1, 2))
+            for j in np.flatnonzero(devs > ATOL)[:1].tolist():
+                dev = devs[j]
+                return f"projectors {i} and {i + 1 + j} are not orthogonal (max entry {dev:.3e})"
+        # sum() adds the projectors one at a time; a numpy reduction may pair them
+        dev = np.abs(sum(stack) - np.eye(self.dim)).max()
         if dev > ATOL:
             return f"projectors do not sum to the identity (deviation {dev:.3e})"
         return None
 
+    _factored = cached_property(lambda self: _Factored.of(self))
+
+    def __reduce__(self):
+        return Measurement, (self.party, self.projectors, self.outcomes)
+
 
 def basis_measurement(party: str, vectors: Sequence) -> Measurement:
     """Rank-one measurement along the given orthonormal vectors, outcomes 1..m."""
-    projs = []
-    for v in vectors:
-        a = v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=np.complex128)
-        projs.append(np.outer(a, a.conj()))
-    return Measurement(party, tuple(projs))
+    amps = (v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=np.complex128)
+            for v in vectors)
+    return Measurement(party, tuple(np.outer(a, a.conj()) for a in amps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +153,10 @@ class ProtocolStep:
 
     def all_measurements(self):
         yield "", self.measurement
-        for prefix in sorted(self.variants):
+        # each label after its type name, so labels of unlike types never meet
+        for prefix in sorted(
+            self.variants, key=lambda t: [(type(x).__name__, x) for pair in t for x in pair]
+        ):
             yield f"variant {format_transcript(prefix)}", self.variants[prefix]
 
 
@@ -165,12 +182,9 @@ def validate(protocol: Protocol) -> ValidationReport:
     """Check every measurement invariant; report the first violation found."""
     for si, step in enumerate(protocol.steps, start=1):
         for tag, m in step.all_measurements():
-            violation = m.first_violation()
-            if violation is not None:
-                where = f"step {si} (party {m.party})"
-                if tag:
-                    where += f" {tag}"
-                return ValidationReport(False, where, violation)
+            if m.first_violation() is not None:
+                where = f"step {si} (party {m.party})" + (f" {tag}" if tag else "")
+                return ValidationReport(False, where, m.first_violation())
     return ValidationReport(True)
 
 
@@ -240,10 +254,9 @@ class _Factored:
 
     @classmethod
     def of(cls, m: Measurement) -> "_Factored":
-        isometries = []
-        for proj in m.projectors:
-            values, vectors = np.linalg.eigh(proj)
-            isometries.append(vectors[:, values > 0.5])
+        # one eigh on the stack solves each projector as eigh on it alone would
+        values, vectors = np.linalg.eigh(m._stack)
+        isometries = [v[:, w > 0.5] for w, v in zip(values, vectors)]
         ranks = np.array([w.shape[1] for w in isometries])
         adjoint = np.concatenate([w.conj().T for w in isometries])
         summing = np.repeat(np.eye(len(ranks)), ranks, axis=0)
@@ -300,7 +313,7 @@ def _in_node_order(parts):
     return [column.take(order, axis=0) for column in columns]
 
 
-def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
+def _walk(steps, axes: dict, amps: np.ndarray, prune: float):
     """Every component's transcript distribution and the mass pruning dropped.
 
     ``amps`` holds one component per row, with one axis per party after the
@@ -357,7 +370,7 @@ def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
                     )
         dropping, leaves, pieces = [], [], []
         for (_, m, base), ids, comps, vecs in batches:
-            f = factored[m]
+            f = m._factored
             ax = axes[m.party]
             g, shape = len(vecs), vecs.shape[1:]
             # explicit sizes: an axis may have shrunk to a zero projector's rank 0
@@ -431,7 +444,7 @@ def _walk(steps, factored: dict, axes: dict, amps: np.ndarray, prune: float):
             ax = axes[m.party]
             grown.append((
                 prefix + ((m.party, m.outcomes[o]),),
-                bases[:ax] + (factored[m].isometries[o],) + bases[ax + 1:],
+                bases[:ax] + (m._factored.isometries[o],) + bases[ax + 1:],
             ))
         nodes = grown
         by_shape: dict = {}
@@ -476,13 +489,16 @@ def run_exact(
     party-major by construction, so each is reshaped in place to one axis
     per party, in layout order.
 
-    Each projector is factored once per call, P_o = W_o W_o^†, with W_o the
+    Each projector is factored as P_o = W_o W_o^†, with W_o the
     eigenvectors of P_o whose eigenvalues exceed 1/2, and the W_o^† of a
     measurement are stacked, so one matmul on the measured party's axis
     yields the coordinates of every outcome at once. After outcome o the
     branch keeps only its coordinates in range(W_o): that party's axis
     shrinks from its dimension to rank(P_o), and a later measurement of the
-    same party acts there through W'^† W_o.
+    same party acts there through W'^† W_o. Each measurement is checked and
+    factored once and caches both, which are pure functions of it, as it is
+    frozen and holds a read-only copy of its projectors; so :func:`validate`
+    first, or a second run of the same protocol, repeats neither.
 
     The walk goes over the chunk's transcript tree one level at a time. A
     node is one transcript prefix together with every ordering of the
@@ -543,20 +559,14 @@ def run_exact(
         raise ValueError(f"{checked.location}: {checked.message}")
     if not 0 <= prune < 1:
         raise SettingError(f"prune must be a finite number in [0, 1), got {prune!r}")
-    parties = layout.parties
-    sizes = tuple(layout.party_dim(p) for p in parties)
-    # variants may share one measurement; factor it once
-    measurements = dict.fromkeys(m for step in protocol.steps for _, m in step.all_measurements())
-    factored = {m: _Factored.of(m) for m in measurements}
-    axes = {p: i for i, p in enumerate(parties)}
+    sizes = tuple(layout.party_dim(p) for p in layout.parties)
+    axes = {p: i for i, p in enumerate(layout.parties)}
 
-    distributions = []
-    by_component = []
-    pruned_mass = []
+    distributions, by_component, pruned_mass = [], [], []
     orders = math.factorial(shape[1])
     for chunk in _chunks(hypotheses, orders * layout.dim):
         amps = stacked_rows(chunk[0].state_set, [h.subset_indices for h in chunk])
-        dists, pruned = _walk(protocol.steps, factored, axes, amps.reshape((-1,) + sizes), prune)
+        dists, pruned = _walk(protocol.steps, axes, amps.reshape((-1,) + sizes), prune)
         for start in range(0, len(dists), orders):
             comp_dists = tuple(dists[start:start + orders])
             merged: dict = {}

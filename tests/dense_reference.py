@@ -11,12 +11,17 @@ the transcript tree at a time, with the rows of every ordering of a chunk
 that reached any node of the level batched by the measurement they meet.
 Batching must not show in the results, so the transcripts, their order and
 their probabilities of this walk are the reference.
+
+:func:`first_violation` checks a measurement one projector and one pair of
+projectors at a time; ``Measurement.first_violation`` runs each test on the
+whole stack of projectors at once and must report the same string.
 """
 
 import math
 
 import numpy as np
 
+from subsetid import ATOL
 from subsetid.protocols import _Factored
 
 
@@ -24,6 +29,33 @@ def dense_rho(hypothesis):
     """The order-averaged hypothesis as a matrix: sum_mu |c_mu><c_mu| / k!."""
     amps = hypothesis.components
     return amps.T @ amps.conj() / len(amps)
+
+
+def first_violation(measurement):
+    """Description of the first broken invariant of ``measurement``, if any.
+
+    Projector by projector, finiteness then Hermiticity; then every pair
+    (i, j), i < j, in order; then completeness. A non-finite projector is
+    reported before any arithmetic touches it, so no RuntimeWarning is
+    raised.
+    """
+    projectors = measurement.projectors
+    for i, p in enumerate(projectors):
+        if not np.isfinite(p).all():
+            return f"projector {i} has a non-finite entry"
+        dev = float(np.max(np.abs(p - p.conj().T)))
+        if dev > ATOL:
+            return f"projector {i} is not Hermitian (deviation {dev:.3e})"
+    for i in range(len(projectors)):
+        for j in range(i + 1, len(projectors)):
+            dev = float(np.max(np.abs(projectors[i] @ projectors[j])))
+            if dev > ATOL:
+                return f"projectors {i} and {j} are not orthogonal (max entry {dev:.3e})"
+    total = sum(projectors)
+    dev = float(np.max(np.abs(total - np.eye(measurement.dim))))
+    if dev > ATOL:
+        return f"projectors do not sum to the identity (deviation {dev:.3e})"
+    return None
 
 
 def partial_trace(rho, dims, keep):

@@ -7,6 +7,9 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from collections import Counter
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dense_reference import dense_rho, per_ordering_run
+from dense_reference import dense_rho, first_violation, per_ordering_run
 from subsetid import (
     ATOL,
     Classifier,
@@ -112,6 +115,153 @@ class TestMeasurement:
         assert "sum to the identity" in incomplete.first_violation()
         good = basis_measurement("A", np.eye(4))
         assert good.first_violation() is None
+
+
+_DEFECTS = ("not Hermitian", "non-finite", "overlap", "drop")
+
+
+@st.composite
+def defective_measurements(draw):
+    """A random measurement with up to two defects, and the defects.
+
+    A random-unitary or permuted computational basis of dimension 1 to 16
+    is coarse-grained into 1 to 16 projectors, so some have rank above 1
+    and, with more projectors than vectors, the last ones are zero; one
+    zero projector may also be inserted anywhere. Each defect, at a random
+    position, is a non-Hermitian entry (of a size above or below ATOL), a
+    NaN or an infinity, an overlapping pair (a projector repeated) or a
+    dropped projector.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim, count = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        q = np.eye(dim, dtype=np.complex128)[:, rng.permutation(dim)]
+    else:
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    zero = count > 1 and draw(st.booleans())
+    labels = rng.permutation(np.arange(dim) % (count - zero))
+    projs = [q[:, labels == o] @ q[:, labels == o].conj().T for o in range(count - zero)]
+    if zero:
+        projs.insert(draw(st.integers(0, len(projs))), np.zeros((dim, dim), np.complex128))
+    defects = draw(st.lists(st.sampled_from(_DEFECTS), max_size=2))
+    for defect in defects:
+        i = draw(st.integers(0, len(projs) - 1))
+        r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if defect == "overlap":
+            projs[i] = projs[draw(st.integers(0, len(projs) - 1))]
+        elif defect == "drop":
+            if len(projs) > 1:
+                del projs[i]
+        else:
+            projs[i] = projs[i].copy()
+            if defect == "non-finite":
+                projs[i][r, c] = draw(st.sampled_from(
+                    [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)]
+                ))
+            else:  # on the diagonal only an imaginary part breaks Hermiticity
+                projs[i][r, c] += 10.0 ** draw(st.floats(-12, 0)) * (1j if r == c else 1)
+    return Measurement("A", tuple(projs)), defects
+
+
+@settings(max_examples=500, deadline=None)
+@given(defective_measurements())
+def test_first_violation_matches_the_per_pair_reference(case):
+    """The check on the whole stack reports what the check of one projector
+    and one pair at a time reports, string for string, and warns of nothing,
+    non-finite entries included."""
+    measurement, defects = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = measurement.first_violation()
+    assert got == first_violation(measurement)
+    if not defects:
+        assert got is None
+
+
+class TestMeasurementCache:
+    """A measurement is checked and factored once, however often its
+    protocol is validated or run; that rests on its projectors being
+    private, read-only copies."""
+
+    def test_projectors_are_read_only_copies(self):
+        source = np.eye(2)
+        m = Measurement("A", (source, np.zeros((2, 2))))
+        for projector in m.projectors:
+            with pytest.raises(ValueError, match="read-only"):
+                projector[0, 0] = 0.5
+        source[0, 0] = 0.5
+        assert m.projectors[0][0, 0] == 1 and m.first_violation() is None
+
+    def test_copies_are_rebuilt_read_only(self):
+        """A copy of a checked and factored measurement carries no cached
+        result of its original and is as read-only as a new one."""
+        m = Measurement("A", basis_measurement("A", np.eye(2)).projectors, outcomes=(1, "u"))
+        assert m.first_violation() is None and m._factored.columns is not None
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin is not m and (twin.party, twin.outcomes) == (m.party, m.outcomes)
+            assert "_violation" not in vars(twin) and "_factored" not in vars(twin)
+            assert all(np.array_equal(a, b) for a, b in zip(twin.projectors, m.projectors))
+            with pytest.raises(ValueError, match="read-only"):
+                twin.projectors[0][0, 0] = 0.5
+
+    def test_each_measurement_is_checked_and_factored_once(self, monkeypatch):
+        factored, checked = Counter(), Counter()
+        factor = _Factored.of
+
+        def counted_factor(m):
+            factored[m] += 1
+            return factor(m)
+
+        check = Measurement.__dict__["_violation"].func
+
+        def counted_check(m):
+            checked[m] += 1
+            return check(m)
+
+        counted = cached_property(counted_check)
+        counted.__set_name__(Measurement, "_violation")
+        monkeypatch.setattr(_Factored, "of", counted_factor)
+        monkeypatch.setattr(Measurement, "_violation", counted)
+        bell = bell_basis().states
+        computational = basis_measurement("B", np.eye(4))  # two variants share it
+        protocol = Protocol("adaptive-bell", (
+            ProtocolStep(basis_measurement("A", bell)),
+            ProtocolStep(
+                basis_measurement("B", bell),
+                {(("A", 1),): computational, (("A", 3),): computational},
+            ),
+        ))
+        hypotheses = hypothesis_ensemble(SubsetTask(bell_basis(), 2))
+        assert validate(protocol).ok
+        reports = [run_exact(protocol, hypotheses) for _ in range(2)]
+        distinct = {protocol.steps[0].measurement, protocol.steps[1].measurement, computational}
+        assert checked == factored == Counter(dict.fromkeys(distinct, 1))
+        assert _bits(reports[0]) == _bits(reports[1])
+
+    @pytest.mark.parametrize("name", ["bell32", "bell43"])
+    def test_a_builtin_run_again_matches_a_fresh_protocol(self, name):
+        """A builtin's tally has already run its protocol once, so running
+        it again reads the cached factoring."""
+        builtin, task = {
+            "bell32": (builtin_bell32_variants, SubsetTask(named_states(["B1", "B2", "B3"]), 2)),
+            "bell43": (builtin_bell43, SubsetTask(bell_basis(), 3)),
+        }[name]
+        protocol, _ = builtin()
+        hypotheses = hypothesis_ensemble(task)
+        again = run_exact(protocol, hypotheses)
+        assert _bits(again) == _bits(run_exact(PROTOCOLS[name](), hypotheses))
+
+
+def _bits(report):
+    """Every transcript, in order, with the hex of its probability, per
+    hypothesis and per ordering, and the hex of every pruned mass."""
+    def items(d):
+        return [(t, p.hex()) for t, p in d.items()]
+    return (
+        [items(d) for d in report.distributions],
+        [[items(d) for d in comps] for comps in report.by_component],
+        [p.hex() for p in report.pruned_mass],
+    )
 
 
 def broken_protocol():
@@ -598,7 +748,8 @@ class TestCoordinateSelection:
 
         def negated(matrix):
             values, vectors = eigh(matrix)
-            return values, vectors * np.where(np.arange(len(values)) % 2, -1.0, 1.0)
+            # the last axis numbers the eigenvectors, for a stack as for one matrix
+            return values, vectors * np.where(np.arange(values.shape[-1]) % 2, -1.0, 1.0)
 
         monkeypatch.setattr(np.linalg, "eigh", negated)
         parity = _digit_parity("A", 2, 2)
@@ -786,6 +937,41 @@ class TestAdaptiveVariants:
         for transcript, subset in sorted(classifier.table.items()):
             assert subset == ((0,) if dict(transcript)["B"] == 1 else (1,))
         assert perfect_identification(report, classifier).ok
+
+
+class TestMixedLabelTypes:
+    """Outcome labels of unlike types, 1 and "u", key variants that plain
+    sorting cannot order; each label is ordered after its type name."""
+
+    def build(self, broken=False):
+        comp = [np.array([1, 0]), np.array([0, 1])]
+        flipped = [np.array([0, 1]), np.array([1, 0])]
+        a = Measurement("A", basis_measurement("A", comp).projectors, outcomes=(1, "u"))
+        on_u = basis_measurement("B", comp[:1] if broken else flipped)
+        step_b = ProtocolStep(
+            basis_measurement("B", comp),
+            variants={(("A", "u"),): on_u, (("A", 1),): basis_measurement("B", comp)},
+        )
+        return Protocol("mixed", (ProtocolStep(a), step_b))
+
+    def test_variants_of_mixed_label_types_validate_and_run(self):
+        protocol = self.build()
+        tags = [tag for tag, _ in protocol.steps[1].all_measurements()]
+        assert tags == ["", "variant A:1", "variant A:u"]
+        assert validate(protocol).ok
+        report = run_exact(protocol, hypothesis_ensemble(SubsetTask(named_states(["B1", "B3"]), 1)))
+        for dist in report.distributions:
+            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+            assert {t[0] for t in dist} == {("A", 1), ("A", "u")}
+        # under B3 the flip on A:u makes B's outcome differ from A's
+        b3 = report.distributions[1]
+        assert set(b3) == {(("A", 1), ("B", 2)), (("A", "u"), ("B", 2))}
+
+    def test_a_broken_variant_of_mixed_label_types_is_located(self):
+        report = validate(self.build(broken=True))
+        assert not report.ok
+        assert report.location == "step 2 (party B) variant A:u"
+        assert "identity" in report.message
 
 
 class TestDeriveClassifier:
